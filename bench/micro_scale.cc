@@ -1,4 +1,5 @@
-// Streaming million-user workload substrate, in one gate. Three parts:
+// Streaming million-user workload substrate and the engine's parity and
+// allocation gates, in one harness. Five parts:
 //
 // 1. Streaming-vs-materialized parity: every paper method on city-scale
 //    scenario workloads at small N, run twice — once against a streaming
@@ -8,17 +9,30 @@
 //    two modes must be bit-exact in alerts, CommStats, rebuild counts and
 //    the deterministic obs digest, at 1 and 4 threads in-process and under
 //    1- and 2-shard transported runs; the heavy-churn scenario checks the
-//    streaming oracle against the dynamic-graph update machinery. The run
-//    ABORTS on any mismatch.
+//    streaming oracle against the dynamic-graph update machinery, and the
+//    flash crowd is the density-adversarial input. The run ABORTS on any
+//    mismatch.
 //
-// 2. Scenario throughput rows: each scenario of the city pack (commuter
+// 2. Paper-dataset parity matrix: every paper method on a Truck workload
+//    at 1/2/4/8 threads in-process and under 1/2/4-shard transported runs
+//    (batched + delta-compressed downlink). Each cell must match the
+//    1-thread in-process run (alerts, message counts, rebuild counts) and
+//    the ground-truth alert stream; the run ABORTS otherwise.
+//
+// 3. Allocation probe: the counting global operator new measures
+//    allocations inside Run() at two epoch horizons; the difference,
+//    divided by the extra epochs, is the steady-state per-epoch
+//    allocation count the scratch arenas are supposed to hold near zero
+//    (EXPERIMENTS.md cites these numbers).
+//
+// 4. Scenario throughput rows: each scenario of the city pack (commuter
 //    rush, flash crowd, heavy churn, mixed-modality fleet) at medium N in
 //    streaming mode — epochs/s and steady-state heap bytes/user (live
 //    allocation high-water mark across build + run), with the materialized
 //    twin's build footprint alongside for the memory win.
 //
-// 3. Million-user cell: the commuter-rush scenario at N=1,000,000 (quick:
-//    20,000) streamed end to end through Naive+grid with the oracle sweep
+// 5. Million-user cell: the commuter-rush scenario at N=1,000,000 (quick:
+//    20,000) streamed end to end through Naive with the oracle sweep
 //    disabled. The run ABORTS unless heap bytes/user stays under the
 //    committed ceiling and throughput stays above the floor.
 //
@@ -26,6 +40,7 @@
 // writes to the current directory, anything else is the target directory).
 // PROXDET_QUICK=1 shrinks to smoke-test size.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -52,7 +67,7 @@ namespace {
 
 // Committed steady-state heap ceiling for streaming scenario runs. The
 // budget at N=1M: position ring 12 x 16 B, generator user state ~64 B,
-// interest graph ~2 adjacency entries, detector + index per-user state —
+// interest graph ~2 adjacency entries, detector per-user state —
 // about 450 B/user measured; 1024 leaves headroom without hiding a
 // regression back to materialized O(N x epochs) storage (~16 B per user
 // per epoch, i.e. thousands per user at city-scale horizons).
@@ -113,7 +128,78 @@ struct ParityRow {
   bool exact = false;
 };
 
-// --- Part 2: scenario throughput rows -------------------------------------
+// --- Part 2: paper-dataset parity matrix ----------------------------------
+
+WorkloadConfig DatasetConfig(bool quick) {
+  WorkloadConfig config;
+  config.dataset = DatasetKind::kTruck;
+  config.num_users = quick ? 24 : 40;
+  config.epochs = quick ? 24 : 40;
+  config.speed_steps = 8;
+  config.avg_friends = 6.0;
+  config.alert_radius_m = 6000.0;
+  config.seed = 77;
+  config.training_users = 16;
+  config.training_epochs = 60;
+  return config;
+}
+
+// Same decisions as the reference run: both alert streams equal ground
+// truth, and the message and rebuild counts agree. Byte counters are left
+// out — in-process runs carry none.
+bool SameDecisions(const RunResult& ref, const RunResult& cell) {
+  return ref.alerts_exact && cell.alerts_exact &&
+         ref.alert_count == cell.alert_count &&
+         ref.stats.SameMessageCounts(cell.stats) &&
+         ref.rebuild_count == cell.rebuild_count;
+}
+
+struct DatasetParityRow {
+  Method method = Method::kNaive;
+  std::string mode;  // "threads" or "shards"
+  int value = 0;
+  bool exact = false;
+};
+
+// --- Part 3: allocation probe ---------------------------------------------
+
+struct AllocRow {
+  Method method = Method::kNaive;
+  size_t users = 0;
+  int epochs_short = 0;
+  int epochs_long = 0;
+  uint64_t allocs_short = 0;
+  uint64_t allocs_long = 0;
+  double allocs_per_epoch_steady = 0.0;
+};
+
+uint64_t CountRunAllocs(Method method, const Workload& workload) {
+  const std::unique_ptr<Detector> detector = MakeDetector(method, workload);
+  const uint64_t before = AllocProbe::AllocCount();
+  detector->Run(workload.world);
+  return AllocProbe::AllocCount() - before;
+}
+
+// The workload carries its own epoch horizon, so each row builds two.
+AllocRow ProbeAllocs(Method method, WorkloadConfig config, int epochs_short,
+                     int epochs_long) {
+  AllocRow row;
+  row.method = method;
+  row.users = config.num_users;
+  row.epochs_short = epochs_short;
+  row.epochs_long = epochs_long;
+  config.epochs = epochs_short;
+  row.allocs_short = CountRunAllocs(method, BuildWorkload(config));
+  config.epochs = epochs_long;
+  row.allocs_long = CountRunAllocs(method, BuildWorkload(config));
+  row.allocs_per_epoch_steady =
+      (static_cast<double>(row.allocs_long) -
+       static_cast<double>(row.allocs_short)) /
+      (epochs_long - epochs_short);
+  return row;
+}
+
+// --- Part 4: scenario throughput rows -------------------------------------
 
 struct ScenarioRow {
   ScenarioKind scenario = ScenarioKind::kCommuterRush;
@@ -146,7 +232,7 @@ ScenarioWorkloadConfig ThroughputConfig(ScenarioKind kind, size_t users,
   return config;
 }
 
-// Builds the workload in the given mode, runs Naive+grid over it, and
+// Builds the workload in the given mode, runs Naive over it, and
 // reports throughput plus the live-heap high-water mark across build +
 // run: the same measurement for both modes, so the bytes/user columns
 // differ only by how positions are stored.
@@ -161,10 +247,8 @@ ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream) {
   AllocProbe::ResetPeak();
   {
     const Workload workload = BuildScenarioWorkload(config);
-    RegionDetector::Options options;
-    options.use_spatial_index = true;
     std::unique_ptr<Detector> detector =
-        MakeDetector(Method::kNaive, workload, options);
+        MakeDetector(Method::kNaive, workload);
     WallTimer timer;
     detector->Run(workload.world);
     row.seconds = timer.ElapsedSeconds();
@@ -187,6 +271,8 @@ ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream) {
 
 std::string WriteJson(bool quick, const std::vector<ParityRow>& parity,
                       bool parity_exact,
+                      const std::vector<DatasetParityRow>& dataset_parity,
+                      const std::vector<AllocRow>& allocs,
                       const std::vector<ScenarioRow>& scenarios,
                       const ScenarioRow& million, uint64_t million_peak_rss,
                       double epochs_per_sec_floor) {
@@ -211,6 +297,30 @@ std::string WriteJson(bool quick, const std::vector<ParityRow>& parity,
   }
   std::fprintf(f, "  ],\n  \"parity_exact\": %s,\n",
                parity_exact ? "true" : "false");
+  std::fprintf(f, "  \"dataset_parity\": [\n");
+  for (size_t i = 0; i < dataset_parity.size(); ++i) {
+    const DatasetParityRow& r = dataset_parity[i];
+    std::fprintf(f,
+                 "    {\"method\": \"%s\", \"mode\": \"%s\", \"value\": %d, "
+                 "\"exact\": %s}%s\n",
+                 MethodName(r.method).c_str(), r.mode.c_str(), r.value,
+                 r.exact ? "true" : "false",
+                 i + 1 == dataset_parity.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n  \"alloc\": [\n");
+  for (size_t i = 0; i < allocs.size(); ++i) {
+    const AllocRow& r = allocs[i];
+    std::fprintf(f,
+                 "    {\"method\": \"%s\", \"users\": %zu, "
+                 "\"epochs_short\": %d, \"epochs_long\": %d, "
+                 "\"allocs_short\": %llu, \"allocs_long\": %llu, "
+                 "\"allocs_per_epoch_steady\": %.2f}%s\n",
+                 MethodName(r.method).c_str(), r.users, r.epochs_short,
+                 r.epochs_long, static_cast<unsigned long long>(r.allocs_short),
+                 static_cast<unsigned long long>(r.allocs_long),
+                 r.allocs_per_epoch_steady, i + 1 == allocs.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const ScenarioRow& r = scenarios[i];
@@ -245,11 +355,13 @@ int Main() {
 
   // -- Part 1: streaming-vs-materialized parity ----------------------------
   std::printf("== streaming vs materialized parity ==\n");
-  // Quick mode keeps one static-graph scenario and the churn scenario
-  // (which exercises the streaming oracle against the dynamic-graph
-  // update machinery); full mode covers the whole pack.
+  // Quick mode keeps one static-graph scenario, the density-adversarial
+  // flash crowd and the churn scenario (which exercises the streaming
+  // oracle against the dynamic-graph update machinery); full mode covers
+  // the whole pack.
   const std::vector<ScenarioKind> parity_kinds =
       quick ? std::vector<ScenarioKind>{ScenarioKind::kCommuterRush,
+                                        ScenarioKind::kFlashCrowd,
                                         ScenarioKind::kHeavyChurn}
             : AllScenarioKinds();
   const std::vector<Method> methods = PaperMethodSet();
@@ -318,8 +430,82 @@ int Main() {
     return 1;
   }
 
-  // -- Part 2: scenario throughput rows ------------------------------------
-  std::printf("== scenario pack (streaming, Naive+grid) ==\n");
+  // -- Part 2: paper-dataset parity matrix ---------------------------------
+  std::printf("== paper-dataset parity: method x threads x shards ==\n");
+  const Workload dataset = BuildWorkload(DatasetConfig(quick));
+  std::vector<DatasetParityRow> dataset_parity;
+  bool dataset_exact = true;
+  for (const Method method : methods) {
+    ThreadPool::SetGlobalThreads(1);
+    const RunResult ref = RunMethod(method, dataset);
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool::SetGlobalThreads(threads);
+      DatasetParityRow row;
+      row.method = method;
+      row.mode = "threads";
+      row.value = static_cast<int>(threads);
+      row.exact = SameDecisions(ref, RunMethod(method, dataset));
+      dataset_parity.push_back(row);
+      if (!row.exact) dataset_exact = false;
+    }
+    ThreadPool::SetGlobalThreads(4);
+    for (const int shards : {1, 2, 4}) {
+      DatasetParityRow row;
+      row.method = method;
+      row.mode = "shards";
+      row.value = shards;
+      row.exact = SameDecisions(
+          ref,
+          net::RunTransportedMethod(method, dataset, ShardedConfig(shards)).run);
+      dataset_parity.push_back(row);
+      if (!row.exact) dataset_exact = false;
+    }
+    std::printf("  %-11s %s\n", MethodName(method).c_str(),
+                dataset_exact ? "ok" : "MISMATCH");
+    std::fflush(stdout);
+  }
+  if (!dataset_exact) {
+    for (const DatasetParityRow& row : dataset_parity) {
+      if (!row.exact) {
+        std::fprintf(stderr,
+                     "FATAL: %s diverged from the 1-thread run or ground "
+                     "truth at %s=%d\n",
+                     MethodName(row.method).c_str(), row.mode.c_str(),
+                     row.value);
+      }
+    }
+    return 1;
+  }
+
+  // -- Part 3: allocation probe --------------------------------------------
+  std::printf("== allocation probe (steady-state per-epoch allocations) ==\n");
+  ThreadPool::SetGlobalThreads(4);
+  const int alloc_short = quick ? 8 : 15;
+  const int alloc_long = quick ? 32 : 60;
+  std::vector<AllocRow> allocs;
+  {
+    // Naive at a few hundred users spans several edge-scan chunks; CMD
+    // exercises the region detector's arenas (scan phases, resolve,
+    // per-epoch pair check) at the parity workload's size.
+    WorkloadConfig naive_config = DatasetConfig(quick);
+    naive_config.num_users = quick ? 500 : 2000;
+    allocs.push_back(
+        ProbeAllocs(Method::kNaive, naive_config, alloc_short, alloc_long));
+    allocs.push_back(ProbeAllocs(Method::kCmd, DatasetConfig(quick),
+                                 alloc_short, alloc_long));
+  }
+  for (const AllocRow& row : allocs) {
+    std::printf("  %-6s N=%5zu  %4d epochs: %8llu allocs   %4d epochs: %8llu "
+                "allocs   steady %.1f allocs/epoch\n",
+                MethodName(row.method).c_str(), row.users, row.epochs_short,
+                static_cast<unsigned long long>(row.allocs_short),
+                row.epochs_long,
+                static_cast<unsigned long long>(row.allocs_long),
+                row.allocs_per_epoch_steady);
+  }
+
+  // -- Part 4: scenario throughput rows ------------------------------------
+  std::printf("== scenario pack (streaming, Naive) ==\n");
   ThreadPool::SetGlobalThreads(4);
   const size_t row_users = quick ? 2000 : 50000;
   const int row_epochs = quick ? 24 : 40;
@@ -340,7 +526,7 @@ int Main() {
     std::fflush(stdout);
   }
 
-  // -- Part 3: million-user cell -------------------------------------------
+  // -- Part 5: million-user cell -------------------------------------------
   const size_t million_users = quick ? 20000 : 1000000;
   const int million_epochs = quick ? 12 : 16;
   const double epochs_per_sec_floor = quick ? 0.2 : 0.02;
@@ -372,8 +558,8 @@ int Main() {
   }
 
   const std::string path =
-      WriteJson(quick, parity, parity_exact, scenarios, million,
-                million_peak_rss, epochs_per_sec_floor);
+      WriteJson(quick, parity, parity_exact, dataset_parity, allocs,
+                scenarios, million, million_peak_rss, epochs_per_sec_floor);
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
   return 0;
 }

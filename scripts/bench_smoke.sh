@@ -25,17 +25,17 @@ trap 'rm -rf "$OUT"' EXIT
 # Quick-mode sweeps, artifacts into the scratch dir. micro_detector also
 # enforces the deterministic-metrics digest across its thread sweep;
 # micro_net emits TRACE_net.json + REPORT_net.json and exits non-zero if
-# its counters fail to reconcile with CommStats; micro_index exits
-# non-zero unless the grid is bit-exact with the exhaustive scan across
-# its whole method x threads x shards matrix AND wins superlinearly over
-# its user sweep.
+# its counters fail to reconcile with CommStats; micro_scale exits
+# non-zero unless streaming == materialized across the scenario pack and
+# every cell of its paper-dataset method x threads x shards matrix matches
+# the 1-thread run and ground truth.
 # micro_socket runs the detector pipeline over real UDP loopback sockets
 # and FATALs unless every method's alerts and message counts match the
 # in-process and SimNet runs (and the loss cell loses no alerts).
 # micro_latency runs traced cells (SimNet virtual + UDP wall clock) and
 # FATALs unless the detect->deliver tracker reconciles with CommStats
 # alert counts to the unit and the live stats endpoint answers.
-for bench in fig9_friends micro_detector micro_net micro_index micro_socket \
+for bench in fig9_friends micro_detector micro_net micro_socket \
              micro_latency micro_scale; do
   echo "== $bench (quick) =="
   PROXDET_QUICK=1 PROXDET_BENCH_JSON="$OUT" "$BUILD_DIR/bench/$bench" \
@@ -56,37 +56,13 @@ for artifact in "${artifacts[@]}"; do
   echo "ok: $(basename "$artifact")"
 done
 
-for required in TRACE_net.json REPORT_net.json BENCH_index.json \
-                BENCH_socket.json BENCH_latency.json BENCH_scale.json; do
+for required in TRACE_net.json REPORT_net.json BENCH_socket.json \
+                BENCH_latency.json BENCH_scale.json; do
   if [[ ! -f "$OUT/$required" ]]; then
     echo "FAIL: expected artifact $required was not emitted" >&2
     exit 1
   fi
 done
-
-# BENCH_index.json schema: the spatial-index gate must carry its oracle
-# verdict and the superlinear sweep + parity matrix it was judged on.
-python3 - "$OUT/BENCH_index.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc.get("figure") == "index", "figure != index"
-assert doc.get("oracle_exact") is True, "oracle_exact is not true"
-assert doc.get("speedup_ratio_largest_vs_smallest", 0) >= 3.0, \
-    "speedup ratio below the superlinear gate"
-assert doc["sweep"], "empty sweep"
-for row in doc["sweep"]:
-    assert row["bit_exact"] is True, f"sweep row not bit-exact: {row}"
-assert doc["parity"], "empty parity matrix"
-for row in doc["parity"]:
-    assert row["oracle_exact"] is True, f"parity row diverged: {row}"
-modes = {(r["mode"], r["value"]) for r in doc["parity"]}
-for want in [("threads", 1), ("threads", 2), ("threads", 4), ("threads", 8),
-             ("shards", 1), ("shards", 2), ("shards", 4)]:
-    assert want in modes, f"parity matrix missing {want}"
-assert doc["alloc"], "empty alloc probe"
-EOF
-echo "ok: BENCH_index.json schema + oracle parity"
 
 # BENCH_socket.json schema: the socket bench must carry its parity verdict
 # (UDP loopback bit-exact with the in-process engine AND the SimNet
@@ -166,16 +142,20 @@ echo "ok: BENCH_latency.json schema + tracker reconciliation"
 
 # BENCH_scale.json schema: the streaming substrate must have proven
 # streaming == materialized bit-exactness across its parity matrix (the
-# bench aborts on mismatch, but assert the committed verdicts too), every
-# scenario row must have run, and the big streaming cell must be under the
-# committed heap ceiling and over the throughput floor.
+# bench aborts on mismatch, but assert the committed verdicts too), the
+# paper-dataset matrix must cover every method at threads {1,2,4,8} and
+# shards {1,2,4} with every cell exact, the allocation probe must carry
+# its Naive and CMD rows, every scenario row must have run, and the big
+# streaming cell must be under the committed heap ceiling and over the
+# throughput floor.
 python3 - "$OUT/BENCH_scale.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc.get("figure") == "scale", "figure != scale"
-for key in ("parity", "parity_exact", "scenarios", "million",
-            "bytes_per_user_ceiling", "epochs_per_sec_floor"):
+for key in ("parity", "parity_exact", "dataset_parity", "alloc",
+            "scenarios", "million", "bytes_per_user_ceiling",
+            "epochs_per_sec_floor"):
     assert key in doc, f"missing field {key}"
 assert doc["parity_exact"] is True, "streaming != materialized somewhere"
 assert doc["parity"], "empty parity matrix"
@@ -186,6 +166,19 @@ assert len(methods) == 8, f"parity covers {len(methods)} methods, not 8"
 modes = {(row["mode"], row["value"]) for row in doc["parity"]}
 for need in (("threads", 1), ("threads", 4), ("shards", 1), ("shards", 2)):
     assert need in modes, f"parity matrix missing {need}"
+kinds = {row["scenario"] for row in doc["parity"]}
+assert "flash_crowd" in kinds, f"parity never ran the flash crowd: {kinds}"
+assert doc["dataset_parity"], "empty paper-dataset parity matrix"
+for row in doc["dataset_parity"]:
+    assert row["exact"] is True, f"paper-dataset cell diverged: {row}"
+assert len({row["method"] for row in doc["dataset_parity"]}) == 8, \
+    "paper-dataset matrix does not cover all 8 methods"
+modes = {(row["mode"], row["value"]) for row in doc["dataset_parity"]}
+for need in [("threads", 1), ("threads", 2), ("threads", 4), ("threads", 8),
+             ("shards", 1), ("shards", 2), ("shards", 4)]:
+    assert need in modes, f"paper-dataset matrix missing {need}"
+alloc = {row["method"] for row in doc["alloc"]}
+assert alloc == {"Naive", "CMD"}, f"allocation probe rows: {alloc}"
 names = {row["scenario"] for row in doc["scenarios"]}
 assert names == {"commuter_rush", "flash_crowd", "heavy_churn",
                  "mixed_fleet"}, f"scenario pack incomplete: {names}"
@@ -199,7 +192,7 @@ big = doc["million"]
 assert big["bytes_per_user"] <= ceiling, f"streaming cell over ceiling: {big}"
 assert big["epochs_per_sec"] >= floor, f"streaming cell under floor: {big}"
 EOF
-echo "ok: BENCH_scale.json schema + streaming parity"
+echo "ok: BENCH_scale.json schema + streaming and paper-dataset parity"
 
 if ! grep -q '"counters_reconcile": "exact"' "$OUT/REPORT_net.json"; then
   echo "FAIL: REPORT_net.json reconciliation verdict is not \"exact\"" >&2

@@ -93,13 +93,6 @@ class RegionDetector : public Detector {
     /// report every epoch until they separate (the naive fallback the match
     /// region was designed to avoid).
     bool use_match_regions = true;
-    /// false selects the exhaustive scans (every edge's region-pair
-    /// distance in the per-epoch pair check; exact circle math for every
-    /// matched pair) — the oracles the grid paths are verified against.
-    /// The flag only changes *how* candidates are enumerated, never the
-    /// outputs: alerts, CommStats and rebuild counts are bit-exact either
-    /// way (property-tested, and enforced by bench/micro_index).
-    bool use_spatial_index = true;
   };
 
   explicit RegionDetector(std::unique_ptr<RegionPolicy> policy);
@@ -112,17 +105,11 @@ class RegionDetector : public Detector {
   /// Number of safe-region constructions performed (diagnostics).
   uint64_t rebuild_count() const { return rebuild_count_; }
 
-  /// Work counters of the last Run's grid paths (all zero with
-  /// use_spatial_index = false); mirrors the engine.index.* obs counters
-  /// to the unit (see bench_support/obs_artifacts.h).
-  const SpatialIndexStats& index_stats() const { return index_stats_; }
-
  private:
   struct Impl;
   std::unique_ptr<RegionPolicy> policy_;
   Options options_;
   uint64_t rebuild_count_ = 0;
-  SpatialIndexStats index_stats_;
 };
 
 }  // namespace proxdet

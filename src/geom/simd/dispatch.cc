@@ -158,10 +158,6 @@ bool VerifyTable(const KernelTable& t) {
     ref.pairs_within_radii(px, py, qx, qy, r1, n, want_m);
     if (!BitEq8(got_m, want_m, n)) return false;
 
-    t.point_within_radius_of_points(px[0], py[0], qx, qy, r1, n, got_m);
-    ref.point_within_radius_of_points(px[0], py[0], qx, qy, r1, n, want_m);
-    if (!BitEq8(got_m, want_m, n)) return false;
-
     for (bool strict : {false, true}) {
       t.circles_contain_points(qx, qy, r1, px, py, n, strict, got_m);
       ref.circles_contain_points(qx, qy, r1, px, py, n, strict, want_m);
@@ -350,13 +346,6 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
                       const double* by, const double* r, size_t n,
                       uint8_t* within) {
   GetDispatch().table->pairs_within_radii(ax, ay, bx, by, r, n, within);
-}
-
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within) {
-  GetDispatch().table->point_within_radius_of_points(ux, uy, wx, wy, r, n,
-                                                     within);
 }
 
 void CirclesContainPoints(const double* cx, const double* cy,

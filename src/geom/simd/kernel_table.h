@@ -30,9 +30,6 @@ struct KernelTable {
                                       const SegmentSoA&, double*);
   void (*pairs_within_radii)(const double*, const double*, const double*,
                              const double*, const double*, size_t, uint8_t*);
-  void (*point_within_radius_of_points)(double, double, const double*,
-                                        const double*, const double*, size_t,
-                                        uint8_t*);
   void (*circles_contain_points)(const double*, const double*, const double*,
                                  const double*, const double*, size_t, bool,
                                  uint8_t*);

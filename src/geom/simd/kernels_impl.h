@@ -369,24 +369,6 @@ struct Kernels {
     }
   }
 
-  static void PointWithinRadiusOfPoints(double ux, double uy,
-                                        const double* wx, const double* wy,
-                                        const double* r, size_t n,
-                                        uint8_t* within) {
-    const VD vux = Splat(ux);
-    const VD vuy = Splat(uy);
-    size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const VD dx = vux - Load(wx + i);
-      const VD dy = vuy - Load(wy + i);
-      StoreMask(within + i, Lt(Sqrt(dx * dx + dy * dy), Load(r + i)));
-    }
-    if (i < n) {
-      scalar::PointWithinRadiusOfPoints(ux, uy, wx + i, wy + i, r + i, n - i,
-                                        within + i);
-    }
-  }
-
   static void CirclesContainPoints(const double* cx, const double* cy,
                                    const double* cr, const double* px,
                                    const double* py, size_t n, bool strict,

@@ -210,16 +210,6 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
   }
 }
 
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within) {
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = ux - wx[i];
-    const double dy = uy - wy[i];
-    within[i] = std::sqrt(dx * dx + dy * dy) < r[i];
-  }
-}
-
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,
@@ -290,7 +280,6 @@ const KernelTable& ScalarTable() {
       &scalar::SegmentToPolylineSquaredDistance,
       &scalar::SegmentToSegmentsSquaredDistances,
       &scalar::PairsWithinRadii,
-      &scalar::PointWithinRadiusOfPoints,
       &scalar::CirclesContainPoints,
       &scalar::CircleDistanceToPoints,
       &scalar::CirclePairsGapBelow,

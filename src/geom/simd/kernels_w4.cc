@@ -25,7 +25,6 @@ const KernelTable& W4Table() {
       &K::SegmentToPolylineSquaredDistance,
       &K::SegmentToSegmentsSquaredDistances,
       &K::PairsWithinRadii,
-      &K::PointWithinRadiusOfPoints,
       &K::CirclesContainPoints,
       &K::CircleDistanceToPoints,
       &K::CirclePairsGapBelow,

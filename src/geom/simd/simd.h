@@ -129,12 +129,6 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
                       const double* by, const double* r, size_t n,
                       uint8_t* within);
 
-/// Lane i: Distance((ux, uy), (wx[i], wy[i])) < r[i] — one user against a
-/// staged candidate batch.
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within);
-
 /// Lane i: containment of (px[i], py[i]) in circle i (strict uses
 /// Circle::ContainsStrict's d^2 < r^2, else Contains' d^2 <= r^2).
 void CirclesContainPoints(const double* cx, const double* cy,
@@ -187,9 +181,6 @@ void SegmentToSegmentsSquaredDistances(double qax, double qay, double qbx,
 void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
                       const double* by, const double* r, size_t n,
                       uint8_t* within);
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within);
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,

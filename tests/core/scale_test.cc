@@ -4,7 +4,9 @@
 // rebuild counts and the deterministic obs digest — for every paper
 // method, across thread counts in-process and shard counts under the
 // transported runner; the heavy-churn scenario additionally pins the
-// streaming oracle against the dynamic-graph update machinery. Plus the
+// streaming oracle against the dynamic-graph update machinery, and the
+// flash-crowd scenario (also at high degree) is the density-adversarial
+// input: clustered users with many close friends. Plus the
 // memoized Workload::GroundTruth() regression: concurrent first calls
 // (the SweepRunner fan-out shape) must produce one scan and one answer —
 // this suite carries the `scale` label so scripts/check.sh runs it under
@@ -37,14 +39,18 @@ ScenarioSpec SmallSpec(ScenarioKind kind) {
   return spec;
 }
 
-Workload BuildSmall(ScenarioKind kind, bool stream) {
+Workload BuildSmall(const ScenarioSpec& spec, bool stream) {
   ScenarioWorkloadConfig config;
-  config.scenario = SmallSpec(kind);
+  config.scenario = spec;
   config.stream = stream;
   config.compute_ground_truth = true;
   config.training_users = 12;
   config.training_epochs = 40;
   return BuildScenarioWorkload(config);
+}
+
+Workload BuildSmall(ScenarioKind kind, bool stream) {
+  return BuildSmall(SmallSpec(kind), stream);
 }
 
 std::string RunWithDigest(Method method, const Workload& workload,
@@ -63,22 +69,24 @@ void ExpectSameRun(const RunResult& stream, const RunResult& mat,
   EXPECT_EQ(stream.rebuild_count, mat.rebuild_count) << what;
 }
 
-class StreamingParityTest : public ::testing::TestWithParam<ScenarioKind> {};
-
-TEST_P(StreamingParityTest, OraclesAgree) {
-  const Workload stream = BuildSmall(GetParam(), /*stream=*/true);
-  const Workload mat = BuildSmall(GetParam(), /*stream=*/false);
+// The three parity checks, shared by the per-scenario suite and the
+// high-degree flash-crowd instance below. `label` names the instance in
+// failure messages.
+void ExpectOraclesAgree(const ScenarioSpec& spec, const std::string& label) {
+  const Workload stream = BuildSmall(spec, /*stream=*/true);
+  const Workload mat = BuildSmall(spec, /*stream=*/false);
   // The streaming oracle replays the ring via a cloned generator; the
   // materialized one sweeps stored trajectories. Same alert stream, or
   // everything downstream is meaningless.
   EXPECT_EQ(stream.GroundTruth(), mat.GroundTruth());
   EXPECT_FALSE(stream.GroundTruth().empty())
-      << "vacuous parity: no alerts at all in " << ScenarioName(GetParam());
+      << "vacuous parity: no alerts at all in " << label;
 }
 
-TEST_P(StreamingParityTest, AllMethodsAcrossThreads) {
-  const Workload stream = BuildSmall(GetParam(), /*stream=*/true);
-  const Workload mat = BuildSmall(GetParam(), /*stream=*/false);
+void ExpectAllMethodsAcrossThreads(const ScenarioSpec& spec,
+                                   const std::string& label) {
+  const Workload stream = BuildSmall(spec, /*stream=*/true);
+  const Workload mat = BuildSmall(spec, /*stream=*/false);
   for (const Method method : PaperMethodSet()) {
     for (const unsigned threads : {1u, 4u}) {
       ThreadPool::SetGlobalThreads(threads);
@@ -88,7 +96,7 @@ TEST_P(StreamingParityTest, AllMethodsAcrossThreads) {
       const std::string dm = RunWithDigest(method, mat, &rm);
       const std::string what = MethodName(method) + " @" +
                                std::to_string(threads) + " threads on " +
-                               ScenarioName(GetParam());
+                               label;
       ExpectSameRun(rs, rm, what);
       EXPECT_EQ(ds, dm) << what << ": obs digests differ";
     }
@@ -96,9 +104,10 @@ TEST_P(StreamingParityTest, AllMethodsAcrossThreads) {
   ThreadPool::SetGlobalThreads(4);
 }
 
-TEST_P(StreamingParityTest, AllMethodsAcrossShards) {
-  const Workload stream = BuildSmall(GetParam(), /*stream=*/true);
-  const Workload mat = BuildSmall(GetParam(), /*stream=*/false);
+void ExpectAllMethodsAcrossShards(const ScenarioSpec& spec,
+                                  const std::string& label) {
+  const Workload stream = BuildSmall(spec, /*stream=*/true);
+  const Workload mat = BuildSmall(spec, /*stream=*/false);
   for (const Method method : PaperMethodSet()) {
     for (const int shards : {1, 2}) {
       net::NetConfig config;
@@ -111,16 +120,32 @@ TEST_P(StreamingParityTest, AllMethodsAcrossShards) {
           net::RunTransportedMethod(method, mat, config);
       const std::string what = MethodName(method) + " @" +
                                std::to_string(shards) + " shards on " +
-                               ScenarioName(GetParam());
+                               label;
       ExpectSameRun(ts.run, tm.run, what);
     }
   }
 }
 
+class StreamingParityTest : public ::testing::TestWithParam<ScenarioKind> {};
+
+TEST_P(StreamingParityTest, OraclesAgree) {
+  ExpectOraclesAgree(SmallSpec(GetParam()), ScenarioName(GetParam()));
+}
+
+TEST_P(StreamingParityTest, AllMethodsAcrossThreads) {
+  ExpectAllMethodsAcrossThreads(SmallSpec(GetParam()),
+                                ScenarioName(GetParam()));
+}
+
+TEST_P(StreamingParityTest, AllMethodsAcrossShards) {
+  ExpectAllMethodsAcrossShards(SmallSpec(GetParam()),
+                               ScenarioName(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, StreamingParityTest,
-    ::testing::Values(ScenarioKind::kCommuterRush, ScenarioKind::kHeavyChurn,
-                      ScenarioKind::kMixedFleet),
+    ::testing::Values(ScenarioKind::kCommuterRush, ScenarioKind::kFlashCrowd,
+                      ScenarioKind::kHeavyChurn, ScenarioKind::kMixedFleet),
     [](const ::testing::TestParamInfo<ScenarioKind>& info) {
       std::string name = ScenarioName(info.param);
       for (char& c : name) {
@@ -128,6 +153,28 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Density-adversarial instance: the flash crowd at F = 12 packs many
+// friends into the event cluster, so many pairs sit near their alert
+// radius at the same epochs.
+ScenarioSpec FlashCrowdHighDegreeSpec() {
+  ScenarioSpec spec = SmallSpec(ScenarioKind::kFlashCrowd);
+  spec.avg_friends = 12.0;
+  return spec;
+}
+
+TEST(FlashCrowdHighDegreeParityTest, OraclesAgree) {
+  ExpectOraclesAgree(FlashCrowdHighDegreeSpec(), "flash_crowd F=12");
+}
+
+TEST(FlashCrowdHighDegreeParityTest, AllMethodsAcrossThreads) {
+  ExpectAllMethodsAcrossThreads(FlashCrowdHighDegreeSpec(),
+                                "flash_crowd F=12");
+}
+
+TEST(FlashCrowdHighDegreeParityTest, AllMethodsAcrossShards) {
+  ExpectAllMethodsAcrossShards(FlashCrowdHighDegreeSpec(), "flash_crowd F=12");
+}
 
 // The churn scenario's streaming oracle must agree with the core layer's
 // dynamic-graph machinery end to end: run the naive detector (which

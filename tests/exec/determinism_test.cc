@@ -134,6 +134,89 @@ TEST(DeterminismTest, DetectorEpochLoopIdenticalAcrossThreadCounts) {
   }
 }
 
+// Paper-dataset workloads at F = 7..10 on 60 users: the random-motion,
+// dynamic-graph and match-heavy regimes, each run under 1- and 4-thread
+// pools. Every decision must agree bit-exactly across the pools and every
+// alert stream must equal the ground-truth oracle.
+WorkloadConfig DatasetConfig(DatasetKind kind, uint64_t seed) {
+  WorkloadConfig config;
+  config.dataset = kind;
+  config.num_users = 60;
+  config.epochs = 50;
+  config.speed_steps = 8;
+  config.avg_friends = 7.0;
+  config.alert_radius_m = 6000.0;
+  config.seed = seed;
+  config.training_users = 12;
+  config.training_epochs = 60;
+  return config;
+}
+
+void ExpectThreadCountInvariant(const Workload& workload, Method method) {
+  GlobalPoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  const RunResult serial = RunMethod(method, workload);
+  ThreadPool::SetGlobalThreads(4);
+  const RunResult parallel = RunMethod(method, workload);
+  const std::string name = MethodName(method);
+  EXPECT_TRUE(serial.alerts_exact) << name << " t=1";
+  EXPECT_TRUE(parallel.alerts_exact) << name << " t=4";
+  EXPECT_GT(serial.alert_count, 0u) << name << ": vacuous workload";
+  EXPECT_EQ(serial.alert_count, parallel.alert_count) << name;
+  EXPECT_EQ(serial.rebuild_count, parallel.rebuild_count) << name;
+  EXPECT_TRUE(serial.stats == parallel.stats)
+      << name << "\nserial:   " << serial.stats
+      << "\nparallel: " << parallel.stats;
+}
+
+TEST(DeterminismTest, GeoLifeRandomMotionIdenticalAcrossThreadCounts) {
+  const Workload workload =
+      BuildWorkload(DatasetConfig(DatasetKind::kGeoLife, 91));
+  for (const Method m :
+       {Method::kNaive, Method::kFmd, Method::kCmd, Method::kStripeKf}) {
+    ExpectThreadCountInvariant(workload, m);
+  }
+}
+
+TEST(DeterminismTest, SingaporeTaxiGraphChurnIdenticalAcrossThreadCounts) {
+  // Fig. 13's dynamic workload shape: edges inserted and deleted while the
+  // run is in flight, exercising the incremental edge snapshot, match
+  // dissolution on removal and the insertion probe rule.
+  Workload workload =
+      BuildWorkload(DatasetConfig(DatasetKind::kSingaporeTaxi, 17));
+  Rng rng(5);
+  const auto initial = workload.world.graph().Edges();
+  for (int epoch = 4; epoch < 48; epoch += 4) {
+    for (int k = 0; k < 3; ++k) {
+      const UserId u = static_cast<UserId>(rng.NextIndex(60));
+      const UserId w = static_cast<UserId>(rng.NextIndex(60));
+      if (u == w) continue;
+      workload.world.ScheduleUpdate(
+          {epoch, true, u, w, workload.config.alert_radius_m});
+    }
+    if (!initial.empty()) {
+      const auto& e = initial[rng.NextIndex(initial.size())];
+      workload.world.ScheduleUpdate({epoch, false, e.u, e.w, 0.0});
+    }
+  }
+  for (const Method m :
+       {Method::kNaive, Method::kFmd, Method::kCmd, Method::kStripeKf}) {
+    ExpectThreadCountInvariant(workload, m);
+  }
+}
+
+TEST(DeterminismTest, BeijingTaxiMatchHeavyIdenticalAcrossThreadCounts) {
+  // A wide radius with more friends keeps many pairs matched at once:
+  // match-region re-centering and dissolution dominate the epoch loop.
+  WorkloadConfig config = DatasetConfig(DatasetKind::kBeijingTaxi, 23);
+  config.alert_radius_m = 12000.0;
+  config.avg_friends = 10.0;
+  const Workload workload = BuildWorkload(config);
+  for (const Method m : {Method::kCmd, Method::kStripeHmm}) {
+    ExpectThreadCountInvariant(workload, m);
+  }
+}
+
 std::vector<std::vector<RunResult>> RunTinySweep() {
   SweepRunner runner("determinism_test",
                      std::vector<Method>{Method::kStatic, Method::kCmd,

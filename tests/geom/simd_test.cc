@@ -362,15 +362,6 @@ TEST(SimdKernelTest, PairPredicatesBitwise) {
                                      b.y.data(), r.data(), n, want.data());
       EXPECT_EQ(got, want) << "PairsWithinRadii n=" << n;
 
-      if (n > 0) {
-        simd::PointWithinRadiusOfPoints(a.x[0], a.y[0], b.x.data(),
-                                        b.y.data(), r.data(), n, got.data());
-        simd::scalar::PointWithinRadiusOfPoints(a.x[0], a.y[0], b.x.data(),
-                                                b.y.data(), r.data(), n,
-                                                want.data());
-        EXPECT_EQ(got, want) << "PointWithinRadiusOfPoints n=" << n;
-      }
-
       simd::CirclePairsGapBelow(a.x.data(), a.y.data(), ra.data(), b.x.data(),
                                 b.y.data(), rb.data(), thr.data(), n,
                                 got.data());
