@@ -1,12 +1,21 @@
 // Epoch-loop throughput of the detection engine itself — not the sweep
-// harness. PR "parallel experiment engine" fanned out *cells* (method x
-// sweep point); this bench measures the in-epoch parallelism inside one
-// detector Run(): the SafeRegionExitPhase / MatchRegionPhase /
-// PerEpochPairCheck scans and the Naive O(edges) distance scan, all of
-// which share the parallel-scan + serial-commit pattern. Each (method,
-// users) cell is re-run under a 1/2/4/8-thread global pool; the alert
-// stream, CommStats and rebuild counts must be bit-exact across thread
-// counts (the run aborts otherwise), and only wall-clock may improve.
+// harness. Each (method, users) cell is re-run under a 1/2/4/8-thread
+// global pool; the alert stream, CommStats, rebuild counts and the
+// deterministic metrics digest must be bit-exact across thread counts (the
+// run aborts otherwise), and only wall-clock may improve. The parallel
+// paths measured are the SafeRegionExitPhase / MatchRegionPhase /
+// PerEpochPairCheck scans, the Naive O(edges) distance scan and the
+// resolve phase's region builds.
+//
+// Two same-process A/B sections follow the sweep:
+//  - simd_gate: Stripe+KF single-thread, the dispatched SIMD backend
+//    against the same detector forced onto the scalar reference, in
+//    interleaved repeats. The median scalar/dispatched time ratio must be
+//    at least kSimdSpeedupFloor; otherwise the bench still writes every
+//    row, with the gate row marked failed, and exits non-zero. Skipped in
+//    quick mode and when no vector backend is active.
+//  - resolve_scaling: Stripe+KF epochs/s at 1, 2 and 4 threads, in
+//    interleaved repeats (medians). Recorded, not gated.
 //
 // Emits BENCH_detector.json (PROXDET_BENCH_JSON: "0" disables, unset/"1"
 // writes to the current directory, anything else is the target directory).
@@ -16,12 +25,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench_support/bench_json.h"
 #include "bench_support/obs_artifacts.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "core/events.h"
 #include "core/simulation.h"
@@ -54,16 +65,43 @@ struct Row {
   bool alerts_exact = false;
 };
 
-// Pre-SIMD single-thread throughput of the Stripe+KF engine (the PR 6
-// tree, this harness, same workload seeds). The SoA + SIMD hot path must
-// beat these by at least kSimdSpeedupFloor or the bench fails: a regression
-// back to scalar-ish throughput is a build/dispatch bug, not noise.
-struct SimdGatePoint {
-  size_t users;
-  double baseline_epochs_per_second;
-};
-constexpr SimdGatePoint kSimdGate[] = {{10000, 6.488}, {30000, 2.145}};
+// The SIMD gate: the dispatched backend must run Stripe+KF at least this
+// much faster than the scalar reference, as the median over
+// kAbRepeats interleaved same-process repeats.
 constexpr double kSimdSpeedupFloor = 1.5;
+constexpr int kAbRepeats = 5;
+
+struct SimdGateRow {
+  size_t users = 0;
+  std::string backend;
+  double dispatched_epochs_per_second = 0.0;  // Median over repeats.
+  double scalar_epochs_per_second = 0.0;      // Median over repeats.
+  std::vector<double> ratios;  // scalar / dispatched Run time, per repeat.
+  double median_ratio = 0.0;
+};
+
+struct ScalingRow {
+  size_t users = 0;
+  unsigned threads = 0;
+  double epochs_per_second = 0.0;  // Median over repeats.
+  double speedup_vs_1t = 1.0;      // Ratio of the medians.
+};
+
+/// One timed Run of an already-built detector. Aborts the bench when the
+/// alert stream leaves the oracle or the message totals move: a backend or
+/// thread count may only change wall-clock.
+double TimedRun(Detector& detector, const Workload& workload,
+                uint64_t expect_io, const char* what) {
+  WallTimer timer;
+  detector.Run(workload.world);
+  const double seconds = timer.ElapsedSeconds();
+  if (detector.SortedAlerts() != workload.GroundTruth() ||
+      detector.stats().TotalMessages() != expect_io) {
+    std::fprintf(stderr, "FATAL: %s changed the run's outputs.\n", what);
+    std::exit(1);
+  }
+  return seconds;
+}
 
 WorkloadConfig DetectorConfig(size_t users, int epochs) {
   WorkloadConfig config;
@@ -81,7 +119,9 @@ WorkloadConfig DetectorConfig(size_t users, int epochs) {
   return config;
 }
 
-std::string WriteJson(const std::vector<Row>& rows) {
+std::string WriteJson(const std::vector<Row>& rows,
+                      const std::vector<SimdGateRow>& gate,
+                      const std::vector<ScalingRow>& scaling) {
   const std::string path = BenchJsonPath("BENCH_detector.json");
   if (path.empty()) return "";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -111,9 +151,124 @@ std::string WriteJson(const std::vector<Row>& rows) {
         r.alerts_exact ? "true" : "false",
         i + 1 == rows.size() ? "" : ",");
   }
+  std::fprintf(f, "  ],\n  \"simd_gate\": [\n");
+  for (size_t i = 0; i < gate.size(); ++i) {
+    const SimdGateRow& g = gate[i];
+    std::string ratios;
+    for (const double r : g.ratios) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s%.3f", ratios.empty() ? "" : ", ",
+                    r);
+      ratios += buf;
+    }
+    std::fprintf(
+        f,
+        "    {\"method\": \"Stripe+KF\", \"users\": %zu, \"threads\": 1, "
+        "\"backend\": \"%s\", \"repeats\": %zu, "
+        "\"dispatched_epochs_per_second\": %.3f, "
+        "\"scalar_epochs_per_second\": %.3f, \"ratios\": [%s], "
+        "\"median_ratio\": %.3f, \"floor\": %.2f, \"passed\": %s}%s\n",
+        g.users, g.backend.c_str(), g.ratios.size(),
+        g.dispatched_epochs_per_second, g.scalar_epochs_per_second,
+        ratios.c_str(), g.median_ratio, kSimdSpeedupFloor,
+        g.median_ratio >= kSimdSpeedupFloor ? "true" : "false",
+        i + 1 == gate.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n  \"resolve_scaling\": [\n");
+  for (size_t i = 0; i < scaling.size(); ++i) {
+    const ScalingRow& r = scaling[i];
+    std::fprintf(f,
+                 "    {\"method\": \"Stripe+KF\", \"users\": %zu, "
+                 "\"threads\": %u, \"repeats\": %d, "
+                 "\"epochs_per_second\": %.3f, \"speedup_vs_1t\": %.3f}%s\n",
+                 r.users, r.threads, kAbRepeats, r.epochs_per_second,
+                 r.speedup_vs_1t, i + 1 == scaling.size() ? "" : ",");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return path;
+}
+
+/// The same-process A/B sections on one sweep point: the SIMD ratio gate
+/// and the resolve thread scaling. Returns false when the gate failed; the
+/// caller still records every row before it exits non-zero.
+bool RunAbSections(const Workload& workload, size_t ab_users, int epochs,
+                   bool quick, std::vector<SimdGateRow>* gate,
+                   std::vector<ScalingRow>* scaling) {
+  const std::unique_ptr<Detector> detector =
+      MakeDetector(Method::kStripeKf, workload);
+  ThreadPool::SetGlobalThreads(1);
+  detector->Run(workload.world);  // Warm-up; fixes the reference totals.
+  const uint64_t io = detector->stats().TotalMessages();
+
+  bool gate_ok = true;
+  const simd::Backend dispatched = simd::ActiveBackend();
+  if (!quick && dispatched != simd::Backend::kScalar) {
+    // Scalar-only builds (-DPROXDET_SIMD=OFF, or a self-check fallback)
+    // have nothing to compare; the bit-exactness checks cover them.
+    SimdGateRow g;
+    g.users = ab_users;
+    g.backend = simd::BackendName(dispatched);
+    std::vector<double> fast_eps, scalar_eps;
+    for (int rep = 0; rep < kAbRepeats; ++rep) {
+      // Alternate which backend goes first, so drift favours neither.
+      double fast = 0.0, scalar = 0.0;
+      for (int leg = 0; leg < 2; ++leg) {
+        const bool scalar_leg = (leg == 0) == (rep % 2 == 1);
+        simd::SetActiveBackendForTest(scalar_leg ? simd::Backend::kScalar
+                                                 : dispatched);
+        (scalar_leg ? scalar : fast) =
+            TimedRun(*detector, workload, io, "the SIMD backend");
+      }
+      fast_eps.push_back(epochs / fast);
+      scalar_eps.push_back(epochs / scalar);
+      g.ratios.push_back(scalar / fast);
+    }
+    simd::SetActiveBackendForTest(dispatched);
+    g.dispatched_epochs_per_second = Quantile(fast_eps, 0.5);
+    g.scalar_epochs_per_second = Quantile(scalar_eps, 0.5);
+    g.median_ratio = Quantile(g.ratios, 0.5);
+    std::printf("simd gate: Stripe+KF %zu users 1 thread  %s %.2f vs scalar "
+                "%.2f epochs/s  median ratio %.2fx (floor %.2fx)\n",
+                ab_users, g.backend.c_str(), g.dispatched_epochs_per_second,
+                g.scalar_epochs_per_second, g.median_ratio,
+                kSimdSpeedupFloor);
+    gate->push_back(g);
+    if (g.median_ratio < kSimdSpeedupFloor) {
+      std::fprintf(stderr,
+                   "FATAL: the %s backend ran Stripe+KF only %.2fx faster "
+                   "than scalar at %zu users (median of %d interleaved "
+                   "repeats; floor %.2fx).\n",
+                   g.backend.c_str(), g.median_ratio, ab_users, kAbRepeats,
+                   kSimdSpeedupFloor);
+      gate_ok = false;
+    }
+  }
+
+  const std::vector<unsigned> scaling_threads = {1, 2, 4};
+  std::vector<std::vector<double>> eps(scaling_threads.size());
+  for (int rep = 0; rep < kAbRepeats; ++rep) {
+    for (size_t k = 0; k < scaling_threads.size(); ++k) {
+      // Rotate the start so no thread count always runs first.
+      const size_t i = (k + static_cast<size_t>(rep)) % scaling_threads.size();
+      ThreadPool::SetGlobalThreads(scaling_threads[i]);
+      eps[i].push_back(epochs /
+                       TimedRun(*detector, workload, io, "the thread count"));
+    }
+  }
+  for (size_t i = 0; i < scaling_threads.size(); ++i) {
+    ScalingRow r;
+    r.users = ab_users;
+    r.threads = scaling_threads[i];
+    r.epochs_per_second = Quantile(eps[i], 0.5);
+    r.speedup_vs_1t = r.epochs_per_second / Quantile(eps[0], 0.5);
+    std::printf("resolve scaling: Stripe+KF %zu users  %u thread%s  %.2f "
+                "epochs/s  (%.2fx)\n",
+                ab_users, r.threads, r.threads == 1 ? " " : "s",
+                r.epochs_per_second, r.speedup_vs_1t);
+    scaling->push_back(r);
+  }
+  return gate_ok;
 }
 
 int Main() {
@@ -135,6 +290,9 @@ int Main() {
   const std::vector<unsigned> thread_sweep = {1, 2, 4, 8};
 
   std::vector<Row> rows;
+  std::vector<SimdGateRow> gate;
+  std::vector<ScalingRow> scaling;
+  bool gates_ok = true;
   for (const size_t users : user_sweep) {
     std::printf("building %zu-user workload (%d epochs)...\n", users, epochs);
     std::fflush(stdout);
@@ -224,41 +382,15 @@ int Main() {
             row.match_region_seconds, row.exit_check_seconds,
             row.pair_check_seconds, row.rebuild_seconds);
         std::fflush(stdout);
-        // The tentpole's throughput gate: the SoA + SIMD hot path must hold
-        // a >= 1.5x single-thread speedup over the pre-SIMD tree on the
-        // reference points. Quick mode uses a different workload size, so
-        // the reference numbers do not apply there.
-        // Scalar-only builds (-DPROXDET_SIMD=OFF, or a self-check fallback)
-        // cannot meet a gate defined as a SIMD speedup; they are covered by
-        // the bit-exactness checks above, not the throughput floor.
-        const bool simd_active =
-            simd::ActiveBackend() != simd::Backend::kScalar;
-        if (!quick && simd_active && method == Method::kStripeKf &&
-            threads == 1) {
-          for (const SimdGatePoint& gate : kSimdGate) {
-            if (gate.users != users) continue;
-            const double floor_eps =
-                gate.baseline_epochs_per_second * kSimdSpeedupFloor;
-            if (row.epochs_per_second < floor_eps) {
-              std::fprintf(stderr,
-                           "FATAL: Stripe+KF at %zu users runs %.3f epochs/s "
-                           "single-thread — below the SIMD gate of %.3f "
-                           "(%.2fx the pre-SIMD baseline %.3f). The batched "
-                           "hot path regressed.\n",
-                           users, row.epochs_per_second, floor_eps,
-                           kSimdSpeedupFloor,
-                           gate.baseline_epochs_per_second);
-              return 1;
-            }
-          }
-        }
       }
     }
+    gates_ok &= RunAbSections(workload, users, epochs, quick, &gate,
+                              &scaling);
   }
   ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
-  const std::string json = WriteJson(rows);
+  const std::string json = WriteJson(rows, gate, scaling);
   if (!json.empty()) std::printf("wrote %s\n", json.c_str());
-  return 0;
+  return gates_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -56,13 +56,44 @@ for artifact in "${artifacts[@]}"; do
   echo "ok: $(basename "$artifact")"
 done
 
-for required in TRACE_net.json REPORT_net.json BENCH_socket.json \
-                BENCH_latency.json BENCH_scale.json; do
+for required in TRACE_net.json REPORT_net.json BENCH_detector.json \
+                BENCH_socket.json BENCH_latency.json BENCH_scale.json; do
   if [[ ! -f "$OUT/$required" ]]; then
     echo "FAIL: expected artifact $required was not emitted" >&2
     exit 1
   fi
 done
+
+# BENCH_detector.json schema: every thread-sweep row must match the
+# oracle, the SIMD gate rows (absent in quick mode and on scalar-only
+# builds) must hold the in-process median ratio over at least 3
+# interleaved repeats at or above the floor, and the resolve-scaling
+# section must carry Stripe+KF at 1, 2 and 4 threads measured in the same
+# process.
+python3 - "$OUT/BENCH_detector.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc.get("figure") == "detector", "figure != detector"
+for key in ("rows", "simd_gate", "resolve_scaling"):
+    assert key in doc, f"missing field {key}"
+assert doc["rows"], "empty thread sweep"
+for row in doc["rows"]:
+    assert row["alerts_exact"] is True, f"sweep row left the oracle: {row}"
+for row in doc["simd_gate"]:
+    assert row["repeats"] >= 3 and len(row["ratios"]) == row["repeats"], \
+        f"SIMD gate without enough repeats: {row}"
+    assert row["floor"] >= 1.5, f"SIMD gate floor loosened: {row}"
+    assert row["median_ratio"] >= row["floor"] and row["passed"] is True, \
+        f"SIMD gate failed: {row}"
+scaling = doc["resolve_scaling"]
+assert sorted(r["threads"] for r in scaling) == [1, 2, 4], \
+    f"resolve scaling must cover 1, 2 and 4 threads: {scaling}"
+for row in scaling:
+    assert row["repeats"] >= 3, f"scaling row without repeats: {row}"
+    assert row["epochs_per_second"] > 0, f"dead scaling row: {row}"
+EOF
+echo "ok: BENCH_detector.json schema + SIMD ratio gate + resolve scaling"
 
 # BENCH_socket.json schema: the socket bench must carry its parity verdict
 # (UDP loopback bit-exact with the in-process engine AND the SimNet

@@ -190,18 +190,17 @@ SafeRegionShape StripePolicy::BuildRegion(
     predicted = predictor_->Predict(
         recent_window, static_cast<size_t>(options_.build.max_horizon));
   }
-  // Constraints borrow the FriendView regions (alive for the whole build);
-  // the scratch vector is a member so steady-state rebuilds don't allocate.
-  // BuildRegion runs on the serial resolve queue, so reuse is race-free.
-  constraints_scratch_.clear();
-  constraints_scratch_.reserve(friends.size());
+  // Constraints borrow the FriendView regions (alive for the whole build).
+  // Per-thread scratch: builds run concurrently on pool threads, and
+  // steady-state rebuilds stay allocation-free.
+  thread_local std::vector<StripeFriendConstraint> constraints;
+  constraints.clear();
   for (const FriendView& f : friends) {
-    constraints_scratch_.push_back({&f.region(), f.alert_radius, f.speed});
+    constraints.push_back({&f.region(), f.alert_radius, f.speed});
   }
   obs::TraceScope span("stripe_build", "engine");
   const StripeBuildResult result = BuildPredictiveStripe(
-      location, predicted, constraints_scratch_, speed, options_.build,
-      epoch);
+      location, predicted, constraints, speed, options_.build, epoch);
   const StripeMetrics& sm = StripeMetrics::Get();
   sm.builds.Inc();
   sm.m.Record(static_cast<double>(result.m));

@@ -43,7 +43,9 @@ class StaticPolygonPolicy : public RegionPolicy {
 /// FMD / CMD [19]: a circle moving with the user's velocity at build time.
 /// FMD uses a fixed base radius; CMD (self_tuning) adapts a per-user
 /// multiplier — exits mean the region was too small, probes mean it was
-/// too large. Requires the per-epoch pair check (regions drift).
+/// too large. Requires the per-epoch pair check (regions drift). The
+/// multiplier map is written only by OnExit/OnProbe and only read by
+/// BuildRegion, which never overlap (see RegionPolicy).
 class MobileCirclePolicy : public RegionPolicy {
  public:
   struct Options {
@@ -100,9 +102,6 @@ class StripePolicy : public RegionPolicy {
  private:
   std::unique_ptr<Predictor> predictor_;
   Options options_;
-  // Reused across BuildRegion calls (serial resolve queue): constraint
-  // records borrowing the caller's FriendView regions.
-  std::vector<StripeFriendConstraint> constraints_scratch_;
 };
 
 }  // namespace proxdet

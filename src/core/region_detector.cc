@@ -1,6 +1,7 @@
 #include "core/region_detector.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <deque>
 #include <optional>
@@ -95,6 +96,46 @@ constexpr size_t kUserGrain = 512;   // ShapeContains per user.
 constexpr size_t kEdgeGrain = 256;   // ShapeMinDistance per edge.
 constexpr size_t kPairGrain = 128;   // MatchRegion::Contains per pair.
 
+// Resolve build windows. The cap bounds the memory held by planned but
+// unbuilt regions. A window whose builds are estimated to take less than
+// kMinParallelSeconds in total builds inline: handing work to the pool
+// costs tens of microseconds, more than a few cheap circle builds (FMD,
+// CMD) take, while one stripe build alone takes about 20 us.
+constexpr size_t kMaxBuildWindow = 256;
+constexpr double kMinParallelSeconds = 50e-6;
+
+/// Why the resolve phase flushed its build window (see ResolvePhase).
+enum FlushCause : size_t {
+  kFlushDependency,  // A view would borrow a region still in the window.
+  kFlushLink,        // A ClientLink call must see the FIFO's sequence.
+  kFlushCap,         // The window reached kMaxBuildWindow.
+  kFlushEnd,         // The queue ran dry.
+  kFlushCauses
+};
+
+/// How wide the resolve phase's parallel sections are: builds per flushed
+/// window and flushes by cause. Flush points depend only on the workload
+/// and on whether a link is attached, never on the thread count, so all
+/// of these are deterministic.
+struct ResolveMetrics {
+  obs::HistogramMetric& window;
+  std::array<obs::Counter*, kFlushCauses> flushes;
+
+  static const ResolveMetrics& Get() {
+    static const ResolveMetrics m{
+        obs::Metrics().GetHistogram(
+            "engine.resolve.window",
+            {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0},
+            obs::Kind::kDeterministic),
+        {&obs::Metrics().GetCounter("engine.resolve.flush.dependency"),
+         &obs::Metrics().GetCounter("engine.resolve.flush.link"),
+         &obs::Metrics().GetCounter("engine.resolve.flush.cap"),
+         &obs::Metrics().GetCounter("engine.resolve.flush.end")},
+    };
+    return m;
+  }
+};
+
 /// Epoch-resolved circle form of a shape, when it has one. Circle and
 /// MovingCircle predicates against these resolved circles are bit-exact
 /// with the ShapeContains / ShapeMinDistance visitors (which resolve with
@@ -147,6 +188,11 @@ struct RegionDetector::Impl {
     Vec2 pos;  // Exact location; server-visible only when reported(u).
   };
 
+  const World& world;
+  RegionDetector& self;
+  InterestGraph graph;
+  std::vector<UserState> users;
+
   // Per-epoch flags, split out of UserState into one byte per user: the
   // epoch reset collapses to a single fill, and the scan phases touch a
   // dense array instead of striding through the fat region records. All
@@ -155,20 +201,18 @@ struct RegionDetector::Impl {
   static constexpr uint8_t kNeedsRegion = 2;
   static constexpr uint8_t kRebuilt = 4;
   static constexpr uint8_t kQueued = 8;
+  static constexpr uint8_t kPlanned = 16;  // Build in the window, uncommitted.
   std::vector<uint8_t> epoch_flags;
   bool reported(UserId u) const { return epoch_flags[u] & kReported; }
   bool needs_region(UserId u) const { return epoch_flags[u] & kNeedsRegion; }
   bool rebuilt(UserId u) const { return epoch_flags[u] & kRebuilt; }
   bool queued(UserId u) const { return epoch_flags[u] & kQueued; }
+  bool planned(UserId u) const { return epoch_flags[u] & kPlanned; }
   void mark(UserId u, uint8_t bit) { epoch_flags[u] |= bit; }
   void unmark(UserId u, uint8_t bit) {
     epoch_flags[u] &= static_cast<uint8_t>(~bit);
   }
 
-  const World& world;
-  RegionDetector& self;
-  InterestGraph graph;
-  std::vector<UserState> users;
   std::unordered_map<uint64_t, MatchRegion> matched;
   std::deque<UserId> queue;
   int epoch = 0;
@@ -178,14 +222,33 @@ struct RegionDetector::Impl {
   // Reused scratch, kept allocation-free across epochs (clear, don't
   // free). The scan buffers are written by parallel read-only scans
   // (distinct slots per index / per chunk) and consumed by the serial
-  // in-order commits below; window_buf, match_keys and friend_views are
-  // only ever touched from serial code.
+  // in-order commits below; window_buf and match_keys are only ever
+  // touched from serial code, and each build task only by its own build.
   std::vector<Vec2> window_buf;
   std::vector<uint8_t> exit_flags;    // Per user: see ExitFlag.
   std::vector<uint8_t> pair_inside;   // Per sorted matched-pair key.
   std::vector<uint8_t> edge_probe;    // Per cached edge: scan said d < r.
   std::vector<uint64_t> match_keys;   // Sorted matched-pair keys.
-  std::vector<FriendView> friend_views;
+
+  /// One planned region build: everything BuildRegion reads, captured at
+  /// plan time, plus the result slot and the build's held metric samples.
+  /// Slots are reused across windows and epochs (cleared, never freed).
+  struct BuildTask {
+    UserId u = -1;
+    Vec2 location;
+    double speed = 0.0;
+    std::vector<Vec2> recent;  // The recent-location window.
+    std::vector<FriendView> views;
+    SafeRegionShape shape;
+    obs::RecordBuffer samples;
+  };
+  std::vector<BuildTask> build_tasks;
+  size_t window_size = 0;  // Planned tasks: build_tasks[0, window_size).
+  // Wall time of one build, measured on the last inline window (0 until
+  // then, so the first window runs inline). It only picks where builds
+  // run, never what they compute.
+  double build_seconds = 0.0;
+
   // Per-chunk SoA staging for the batched geometry kernels. One pool
   // serves every phase (they run sequentially): the exit scan stages
   // (circle, point) lanes, the match scan (circle, point) lane pairs,
@@ -222,6 +285,15 @@ struct RegionDetector::Impl {
     return matched.count(PairKey(u, w)) > 0;
   }
 
+  /// The transport link, with the build window committed first: a link
+  /// call made while builds wait in the window would interleave with
+  /// their InstallRegion calls differently from the serial queue, and the
+  /// wire schedule would change. Null in-process (nothing to flush for).
+  ClientLink* SyncedLink() {
+    if (self.link_ != nullptr && window_size > 0) FlushBuilds(kFlushLink);
+    return self.link_;
+  }
+
   /// Client -> server location upload (at most one per user per epoch).
   /// Serial-commit code only (reuses the shared window buffer).
   void Report(UserId u) {
@@ -230,13 +302,13 @@ struct RegionDetector::Impl {
     self.stats_.reports += 1;
     EngineMetrics::Get().reports.Inc();
     // The report carries the recent window; refresh the speed estimate.
-    if (self.link_ != nullptr) {
+    if (ClientLink* link = SyncedLink()) {
       // Transported run: the client uploads through the wire and the engine
       // consumes position + window exactly as the server decoded them (the
       // codec's exact round-trip keeps this bit-identical to the direct
       // read below).
-      self.link_->Report(u, epoch, self.options_.window, &users[u].pos,
-                         &window_buf);
+      link->Report(u, epoch, self.options_.window, &users[u].pos,
+                   &window_buf);
     } else {
       world.RecentWindow(u, epoch, self.options_.window, &window_buf);
     }
@@ -267,7 +339,7 @@ struct RegionDetector::Impl {
     }
     self.stats_.probes += 1;
     EngineMetrics::Get().probes.Inc();
-    if (self.link_ != nullptr) self.link_->Probe(u, epoch);
+    if (ClientLink* link = SyncedLink()) link->Probe(u, epoch);
     Report(u);
     EnqueueRebuild(u);
     self.policy_->OnProbe(u);
@@ -283,9 +355,9 @@ struct RegionDetector::Impl {
     self.alerts_.push_back({epoch, a, b});
     self.stats_.alerts += 2;
     EngineMetrics::Get().alerts.Inc(2);
-    if (self.link_ != nullptr) {
-      self.link_->Alert(u, a, b, epoch);
-      self.link_->Alert(w, a, b, epoch);
+    if (ClientLink* link = SyncedLink()) {
+      link->Alert(u, a, b, epoch);
+      link->Alert(w, a, b, epoch);
     }
     if (self.options_.use_match_regions) {
       self.stats_.match_installs += 2;
@@ -620,9 +692,21 @@ struct RegionDetector::Impl {
     }
   }
 
-  /// Serialized rebuild loop: pops users needing a region, probes friends
-  /// that are dangerously close, detects fresh matches, then asks the
-  /// policy for a new region built against the friends' effective regions.
+  /// The rebuild loop of Algorithm 1 as plan -> build -> commit. The
+  /// planner pops users in FIFO order and does everything the protocol's
+  /// control flow depends on: it probes friends that are dangerously close,
+  /// detects fresh matches, and collects the friend views. It then appends
+  /// a build task to the window instead of building. A flush builds the
+  /// window's regions on the pool and commits them in task order.
+  ///
+  /// The output equals a serial loop that builds each region as it is
+  /// popped, because nothing the planner decides reads a build's result:
+  /// which users rebuild, every probe and alert, and each view's kind
+  /// (borrowed or virtual circle) depend only on flags, positions and
+  /// speeds. A result is read only as a borrowed constraint by a later
+  /// friend's view, and the planner commits the window before planning
+  /// such a view. It also commits before any link call, so a transported
+  /// run sends the serial loop's exact call sequence.
   void ResolvePhase() {
     while (!queue.empty()) {
       const UserId u = queue.front();
@@ -632,7 +716,8 @@ struct RegionDetector::Impl {
       const double v_u = users[u].speed;
 
       // Pass 1: probe friends whose region leaves no slack, then settle
-      // alerts against every exact friend.
+      // alerts against every exact friend. A planned friend is reported,
+      // so its uncommitted region is never read here.
       for (const FriendEdge& fe : graph.FriendsOf(u)) {
         const UserId w = fe.other;
         if (IsMatched(u, w)) continue;
@@ -654,8 +739,25 @@ struct RegionDetector::Impl {
         }
       }
 
+      // A planned friend's view would borrow its region, which is not
+      // committed yet: flush first.
+      if (window_size > 0) {
+        for (const FriendEdge& fe : graph.FriendsOf(u)) {
+          if (planned(fe.other) && !IsMatched(u, fe.other)) {
+            FlushBuilds(kFlushDependency);
+            break;
+          }
+        }
+      }
+
+      if (window_size == build_tasks.size()) build_tasks.emplace_back();
+      BuildTask& task = build_tasks[window_size++];
+      task.u = u;
+      task.location = l_u;
+      task.speed = v_u;
+
       // Pass 2: collect effective constraint regions for unmatched friends.
-      friend_views.clear();
+      task.views.clear();
       for (const FriendEdge& fe : graph.FriendsOf(u)) {
         const UserId w = fe.other;
         if (IsMatched(u, w)) continue;
@@ -675,30 +777,59 @@ struct RegionDetector::Impl {
         } else {
           view.borrowed = &*users[w].region;
         }
-        friend_views.push_back(std::move(view));
+        task.views.push_back(std::move(view));
       }
+      world.RecentWindow(u, epoch, self.options_.window, &task.recent);
 
-      world.RecentWindow(u, epoch, self.options_.window, &window_buf);
-      SafeRegionShape shape =
-          self.policy_->BuildRegion(u, l_u, window_buf, v_u, friend_views,
-                                    epoch);
-      if (self.options_.validate_builds) {
-        assert(ShapeContains(shape, l_u, epoch));
-        for (const FriendView& view : friend_views) {
-          const double d = ShapeMinDistance(shape, view.region(), epoch);
-          assert(d >= view.alert_radius - 1e-6);
-          (void)d;
-        }
-      }
-      if (self.link_ != nullptr) self.link_->InstallRegion(u, epoch, shape);
-      users[u].region = std::move(shape);
-      mark(u, kRebuilt);
+      mark(u, kRebuilt | kPlanned);
       unmark(u, kNeedsRegion);
-      self.stats_.region_installs += 1;
-      self.rebuild_count_ += 1;
-      EngineMetrics::Get().region_installs.Inc();
-      EngineMetrics::Get().rebuilds.Inc();
+      if (window_size == kMaxBuildWindow) FlushBuilds(kFlushCap);
     }
+    if (window_size > 0) FlushBuilds(kFlushEnd);
+  }
+
+  /// Builds every planned region (on the pool when the window holds
+  /// enough work; each task writes only its own slot), then commits them
+  /// in task order: metric samples, validation, InstallRegion, install.
+  void FlushBuilds(FlushCause cause) {
+    const size_t n = window_size;
+    window_size = 0;
+    const ResolveMetrics& rm = ResolveMetrics::Get();
+    rm.window.Record(static_cast<double>(n));
+    rm.flushes[cause]->Inc();
+    const auto build = [this](size_t i) {
+      BuildTask& t = build_tasks[i];
+      obs::ScopedRecordCapture capture(&t.samples);
+      t.shape = self.policy_->BuildRegion(t.u, t.location, t.recent, t.speed,
+                                          t.views, epoch);
+    };
+    if (static_cast<double>(n) * build_seconds < kMinParallelSeconds) {
+      const WallTimer timer;
+      for (size_t i = 0; i < n; ++i) build(i);
+      build_seconds = timer.ElapsedSeconds() / static_cast<double>(n);
+    } else {
+      ParallelFor(n, build);
+    }
+    for (size_t i = 0; i < n; ++i) CommitBuild(build_tasks[i]);
+  }
+
+  void CommitBuild(BuildTask& t) {
+    t.samples.Replay();
+    if (self.options_.validate_builds) {
+      assert(ShapeContains(t.shape, t.location, epoch));
+      for (const FriendView& view : t.views) {
+        const double d = ShapeMinDistance(t.shape, view.region(), epoch);
+        assert(d >= view.alert_radius - 1e-6);
+        (void)d;
+      }
+    }
+    if (self.link_ != nullptr) self.link_->InstallRegion(t.u, epoch, t.shape);
+    users[t.u].region = std::move(t.shape);
+    unmark(t.u, kPlanned);
+    self.stats_.region_installs += 1;
+    self.rebuild_count_ += 1;
+    EngineMetrics::Get().region_installs.Inc();
+    EngineMetrics::Get().rebuilds.Inc();
   }
 
   void Run() {

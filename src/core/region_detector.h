@@ -18,11 +18,13 @@ namespace proxdet {
 /// The installed-region case BORROWS the engine's shape (`borrowed`)
 /// instead of copying it: a Stripe carries its per-segment SoA cache, and
 /// deep-copying ~F of them per rebuild was a top profile entry. The
-/// borrowed pointer is valid for the duration of the BuildRegion call (the
-/// resolve queue is serialized, and nothing reinstalls a friend's region
-/// between view collection and the build). The virtual-split case owns its
-/// small circle in `owned_region`. Views are safely movable/copyable —
-/// `region()` resolves through the pointer only at read time.
+/// borrowed region is one the engine has committed, and it stays unchanged
+/// until the BuildRegion call returns: the engine builds a window of
+/// planned regions and only then commits them, and it never plans a view
+/// that would borrow a region still waiting in the window (it commits the
+/// window first). The virtual-split case owns its small circle in
+/// `owned_region`. Views are safely movable/copyable — `region()` resolves
+/// through the pointer only at read time.
 struct FriendView {
   UserId id = -1;
   const SafeRegionShape* borrowed = nullptr;
@@ -42,9 +44,19 @@ struct FriendView {
 ///
 /// Soundness contract: the returned region must (a) contain `location` and
 /// (b) keep distance >= alert_radius from every FriendView region at
-/// `epoch`. Rebuilds within an epoch are serialized by the engine, so a
-/// policy honoring (b) preserves the pairwise invariant d(u, w) >= r_{u,w}
-/// for pairs fully inside their regions.
+/// `epoch`. The second build of any pair within an epoch sees the first
+/// one's committed region, so a policy honoring (b) preserves the pairwise
+/// invariant d(u, w) >= r_{u,w} for pairs fully inside their regions.
+///
+/// Concurrency contract: builds of users that do not borrow each other's
+/// regions may run concurrently on pool threads. Builds never run
+/// concurrently with OnExit/OnProbe, and the engine never calls
+/// OnExit/OnProbe for a user whose build is planned but not yet committed.
+/// A build must depend only on its arguments and on policy state that is
+/// fixed while it runs (trained models, options, and per-user tuning state
+/// of the user being built); BuildRegion must not write shared policy
+/// state. Under that contract the regions equal those of a serial build in
+/// queue order, for any thread count.
 class RegionPolicy {
  public:
   virtual ~RegionPolicy() = default;

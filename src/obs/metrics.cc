@@ -28,6 +28,17 @@ std::string Num(double v) {
 
 }  // namespace
 
+void RecordBuffer::Replay() {
+  for (const Sample& sample : samples_) {
+    if (sample.histogram != nullptr) {
+      sample.histogram->RecordNow(sample.x);
+    } else {
+      sample.quantile->RecordNow(sample.x);
+    }
+  }
+  samples_.clear();
+}
+
 template <typename T>
 T& MetricsRegistry::GetOrCreate(std::map<std::string, Entry<T>>& map,
                                 const std::string& name, Kind kind) {

@@ -147,13 +147,65 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};  // Packed double; starts at 0.0.
 };
 
+class HistogramMetric;
+class QuantileMetric;
+
+/// Histogram and quantile samples held back for replay in a chosen order.
+/// Their sums are in the deterministic digest, and a floating-point sum
+/// depends on the order of its terms, so samples recorded from pool
+/// threads would land in scheduling order. While a ScopedRecordCapture is
+/// active on a thread, that thread's HistogramMetric/QuantileMetric
+/// Record() calls append here instead; Replay() then records them in
+/// capture order from whatever serial point the caller picks (the resolve
+/// phase replays each region build's samples in queue order). Counters
+/// stay live: integer adds commute.
+class RecordBuffer {
+ public:
+  /// Records every held sample into its metric, in capture order, and
+  /// empties the buffer. Capacity is kept, so steady-state use does not
+  /// allocate.
+  void Replay();
+
+ private:
+  friend class HistogramMetric;
+  friend class QuantileMetric;
+  struct Sample {
+    HistogramMetric* histogram = nullptr;  // Exactly one of the two is set.
+    QuantileMetric* quantile = nullptr;
+    double x = 0.0;
+  };
+  std::vector<Sample> samples_;
+};
+
+/// The capture target of the current thread (null: record live).
+inline thread_local RecordBuffer* t_record_capture = nullptr;
+
+/// Routes this thread's histogram and quantile samples into `buffer` for
+/// the scope's lifetime. Scopes nest; the previous target is restored.
+class ScopedRecordCapture {
+ public:
+  explicit ScopedRecordCapture(RecordBuffer* buffer)
+      : previous_(t_record_capture) {
+    t_record_capture = buffer;
+  }
+  ~ScopedRecordCapture() { t_record_capture = previous_; }
+  ScopedRecordCapture(const ScopedRecordCapture&) = delete;
+  ScopedRecordCapture& operator=(const ScopedRecordCapture&) = delete;
+
+ private:
+  RecordBuffer* previous_;
+};
+
 /// Thread-safe fixed-bucket histogram (mutex-guarded; recorded from serial
 /// commit sections or coarse-grained pool tasks, never per-geometry-op).
 class HistogramMetric {
  public:
   void Record(double x) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histogram_.Record(x);
+    if (RecordBuffer* capture = t_record_capture) {
+      capture->samples_.push_back({this, nullptr, x});
+      return;
+    }
+    RecordNow(x);
   }
   Histogram snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -162,6 +214,11 @@ class HistogramMetric {
 
  private:
   friend class MetricsRegistry;
+  friend class RecordBuffer;
+  void RecordNow(double x) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    histogram_.Record(x);
+  }
   void Reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     histogram_.Reset();
@@ -175,8 +232,11 @@ class HistogramMetric {
 class QuantileMetric {
  public:
   void Record(double x) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sketch_.Record(x);
+    if (RecordBuffer* capture = t_record_capture) {
+      capture->samples_.push_back({nullptr, this, x});
+      return;
+    }
+    RecordNow(x);
   }
   StreamingQuantile snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -185,6 +245,11 @@ class QuantileMetric {
 
  private:
   friend class MetricsRegistry;
+  friend class RecordBuffer;
+  void RecordNow(double x) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sketch_.Record(x);
+  }
   void Reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     sketch_.Reset();
@@ -287,6 +352,16 @@ class QuantileMetric {
  public:
   void Record(double) {}
   StreamingQuantile snapshot() const { return StreamingQuantile(); }
+};
+
+class RecordBuffer {
+ public:
+  void Replay() {}
+};
+
+class ScopedRecordCapture {
+ public:
+  explicit ScopedRecordCapture(RecordBuffer*) {}
 };
 
 class MetricsRegistry {

@@ -57,6 +57,46 @@ TEST(MetricsRegistryTest, HistogramBoundsFirstRegistrationWins) {
   EXPECT_EQ(snap.count(), 1u);
 }
 
+// Samples recorded on pool threads under a capture replay in the order the
+// caller chooses, so a floating-point sum matches a serial run bit for bit
+// however the threads were scheduled.
+TEST(MetricsRegistryTest, CapturedSamplesReplayInChosenOrder) {
+  MetricsRegistry registry;
+  HistogramMetric& h =
+      registry.GetHistogram("h", {1.0, 1e20}, Kind::kDeterministic);
+  QuantileMetric& q = registry.GetQuantile("q", Kind::kDeterministic);
+  // A sum whose rounding depends on the order of its terms.
+  const std::vector<double> xs = {1e16, 1.0, 1.0, 1e16, 3.0};
+  for (const double x : xs) {
+    h.Record(x);
+    q.Record(x);
+  }
+  const double serial_h = h.snapshot().sum();
+  const double serial_q = q.snapshot().sum();
+  registry.Reset();
+
+  std::vector<RecordBuffer> buffers(xs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = xs.size(); i-- > 0;) {  // Reverse start order.
+    threads.emplace_back([&, i] {
+      ScopedRecordCapture capture(&buffers[i]);
+      h.Record(xs[i]);
+      q.Record(xs[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h.snapshot().count(), 0u);  // Held, not recorded.
+  EXPECT_EQ(q.snapshot().count(), 0u);
+  for (RecordBuffer& b : buffers) b.Replay();
+  EXPECT_EQ(h.snapshot().count(), xs.size());
+  EXPECT_EQ(h.snapshot().sum(), serial_h);
+  EXPECT_EQ(q.snapshot().sum(), serial_q);
+  // Replay empties the buffer; outside a capture, records are live again.
+  buffers[0].Replay();
+  h.Record(2.0);
+  EXPECT_EQ(h.snapshot().count(), xs.size() + 1);
+}
+
 TEST(MetricsRegistryTest, GaugeAccumulation) {
   MetricsRegistry registry;
   Gauge& g = registry.GetGauge("g");
