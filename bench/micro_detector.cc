@@ -204,8 +204,9 @@ bool RunAbSections(const Workload& workload, size_t ab_users, int epochs,
   bool gate_ok = true;
   const simd::Backend dispatched = simd::ActiveBackend();
   if (!quick && dispatched != simd::Backend::kScalar) {
-    // Scalar-only builds (-DPROXDET_SIMD=OFF, or a self-check fallback)
-    // have nothing to compare; the bit-exactness checks cover them.
+    // Scalar-only runs (no vector backend on this compiler or CPU, a
+    // self-check fallback, or PROXDET_SIMD_FORCE=scalar) have nothing to
+    // compare; the bit-exactness checks cover them.
     SimdGateRow g;
     g.users = ab_users;
     g.backend = simd::BackendName(dispatched);

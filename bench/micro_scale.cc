@@ -29,7 +29,9 @@
 //    rush, flash crowd, heavy churn, mixed-modality fleet) at medium N in
 //    streaming mode — epochs/s and steady-state heap bytes/user (live
 //    allocation high-water mark across build + run), with the materialized
-//    twin's build footprint alongside for the memory win.
+//    twin's build footprint alongside for the memory win. One more row runs
+//    the paper's method, Stripe+KF, on the commuter rush; the run ABORTS
+//    when its heap bytes/user exceed the committed stripe ceiling.
 //
 // 5. Million-user cell: the commuter-rush scenario at N=1,000,000 (quick:
 //    20,000) streamed end to end through Naive with the oracle sweep
@@ -72,6 +74,15 @@ namespace {
 // regression back to materialized O(N x epochs) storage (~16 B per user
 // per epoch, i.e. thousands per user at city-scale horizons).
 constexpr double kBytesPerUserCeiling = 1024.0;
+
+// Committed heap ceiling for the Stripe+KF commuter-rush row (full, quick
+// size). Installed stripes dominate it, at one 16 B-per-anchor buffer
+// each: 765 / 822 B/user measured on a 4-core x86-64 host. The layout that
+// stored every anchor three times (a polyline, seven per-segment arrays
+// and two anchor arrays) measured 1,751 / 1,284 B/user there; one extra
+// polyline copy per stripe alone measured 1,019 / 967 and trips both.
+constexpr double kStripeBytesPerUserCeiling = 900.0;
+constexpr double kStripeBytesPerUserCeilingQuick = 900.0;
 
 // --- Part 1: streaming-vs-materialized parity -----------------------------
 
@@ -232,11 +243,12 @@ ScenarioWorkloadConfig ThroughputConfig(ScenarioKind kind, size_t users,
   return config;
 }
 
-// Builds the workload in the given mode, runs Naive over it, and
+// Builds the workload in the given mode, runs `method` over it, and
 // reports throughput plus the live-heap high-water mark across build +
 // run: the same measurement for both modes, so the bytes/user columns
 // differ only by how positions are stored.
-ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream) {
+ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream,
+                        Method method = Method::kNaive) {
   config.stream = stream;
   ScenarioRow row;
   row.scenario = config.scenario.kind;
@@ -247,8 +259,7 @@ ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream) {
   AllocProbe::ResetPeak();
   {
     const Workload workload = BuildScenarioWorkload(config);
-    std::unique_ptr<Detector> detector =
-        MakeDetector(Method::kNaive, workload);
+    std::unique_ptr<Detector> detector = MakeDetector(method, workload);
     WallTimer timer;
     detector->Run(workload.world);
     row.seconds = timer.ElapsedSeconds();
@@ -274,6 +285,7 @@ std::string WriteJson(bool quick, const std::vector<ParityRow>& parity,
                       const std::vector<DatasetParityRow>& dataset_parity,
                       const std::vector<AllocRow>& allocs,
                       const std::vector<ScenarioRow>& scenarios,
+                      const ScenarioRow& stripe, double stripe_ceiling,
                       const ScenarioRow& million, uint64_t million_peak_rss,
                       double epochs_per_sec_floor) {
   const std::string path = BenchJsonPath("BENCH_scale.json");
@@ -334,6 +346,16 @@ std::string WriteJson(bool quick, const std::vector<ParityRow>& parity,
         i + 1 == scenarios.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(
+      f,
+      "  \"stripe_row\": {\"method\": \"%s\", \"scenario\": \"%s\", "
+      "\"users\": %zu, \"epochs\": %d, \"epochs_per_sec\": %.3f, "
+      "\"bytes_per_user_stream\": %.1f, \"alerts\": %zu, "
+      "\"bytes_per_user_ceiling\": %.0f},\n",
+      MethodName(Method::kStripeKf).c_str(),
+      ScenarioName(stripe.scenario).c_str(), stripe.users, stripe.epochs,
+      stripe.epochs_per_sec, stripe.bytes_per_user_stream, stripe.alert_count,
+      stripe_ceiling);
   std::fprintf(
       f,
       "  \"million\": {\"scenario\": \"%s\", \"users\": %zu, \"epochs\": %d, "
@@ -525,6 +547,24 @@ int Main() {
         row.alert_count);
     std::fflush(stdout);
   }
+  const ScenarioRow stripe = RunScenario(
+      ThroughputConfig(ScenarioKind::kCommuterRush, row_users, row_epochs,
+                       /*stream=*/true),
+      /*stream=*/true, Method::kStripeKf);
+  const double stripe_ceiling =
+      quick ? kStripeBytesPerUserCeilingQuick : kStripeBytesPerUserCeiling;
+  std::printf("  %-13s N=%6zu  %6.2f epochs/s  stream %7.1f B/user  "
+              "(Stripe+KF, ceiling %.0f)  alerts %zu\n",
+              ScenarioName(stripe.scenario).c_str(), stripe.users,
+              stripe.epochs_per_sec, stripe.bytes_per_user_stream,
+              stripe_ceiling, stripe.alert_count);
+  if (stripe.bytes_per_user_stream > stripe_ceiling) {
+    std::fprintf(stderr,
+                 "FATAL: Stripe+KF at %.1f heap bytes/user exceeds the "
+                 "committed ceiling of %.0f — stripe storage regressed.\n",
+                 stripe.bytes_per_user_stream, stripe_ceiling);
+    return 1;
+  }
 
   // -- Part 5: million-user cell -------------------------------------------
   const size_t million_users = quick ? 20000 : 1000000;
@@ -559,7 +599,8 @@ int Main() {
 
   const std::string path =
       WriteJson(quick, parity, parity_exact, dataset_parity, allocs,
-                scenarios, million, million_peak_rss, epochs_per_sec_floor);
+                scenarios, stripe, stripe_ceiling, million, million_peak_rss,
+                epochs_per_sec_floor);
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -176,8 +176,9 @@ echo "ok: BENCH_latency.json schema + tracker reconciliation"
 # bench aborts on mismatch, but assert the committed verdicts too), the
 # paper-dataset matrix must cover every method at threads {1,2,4,8} and
 # shards {1,2,4} with every cell exact, the allocation probe must carry
-# its Naive and CMD rows, every scenario row must have run, and the big
-# streaming cell must be under the committed heap ceiling and over the
+# its Naive and CMD rows, every scenario row must have run, the Stripe+KF
+# commuter-rush row must be under its own committed heap ceiling, and the
+# big streaming cell must be under the committed heap ceiling and over the
 # throughput floor.
 python3 - "$OUT/BENCH_scale.json" <<'EOF'
 import json, sys
@@ -185,7 +186,7 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc.get("figure") == "scale", "figure != scale"
 for key in ("parity", "parity_exact", "dataset_parity", "alloc",
-            "scenarios", "million", "bytes_per_user_ceiling",
+            "scenarios", "stripe_row", "million", "bytes_per_user_ceiling",
             "epochs_per_sec_floor"):
     assert key in doc, f"missing field {key}"
 assert doc["parity_exact"] is True, "streaming != materialized somewhere"
@@ -219,6 +220,12 @@ for row in doc["scenarios"]:
     assert row["epochs_per_sec"] > 0, f"degenerate throughput row: {row}"
     assert 0 < row["bytes_per_user_stream"] <= ceiling, \
         f"scenario row over the heap ceiling: {row}"
+stripe = doc["stripe_row"]
+assert stripe["method"] == "Stripe+KF" and \
+    stripe["scenario"] == "commuter_rush", f"wrong stripe row: {stripe}"
+assert stripe["epochs_per_sec"] > 0, f"degenerate stripe row: {stripe}"
+assert 0 < stripe["bytes_per_user_stream"] <= \
+    stripe["bytes_per_user_ceiling"], f"stripe row over its ceiling: {stripe}"
 big = doc["million"]
 assert big["bytes_per_user"] <= ceiling, f"streaming cell over ceiling: {big}"
 assert big["epochs_per_sec"] >= floor, f"streaming cell under floor: {big}"

@@ -17,10 +17,17 @@
 # (the shard frontend's per-shard counters and batch-fill histogram
 # included).
 #
-# A third leg configures a tree with -DPROXDET_SIMD=OFF: the scalar-only
-# build of the geometry kernels must pass the same suites (the simd suite
-# collapses to scalar-vs-scalar identity there, and the detector
-# properties prove the engines are backend-agnostic).
+# A third leg runs the `simd` suite under
+# -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
+# vector kernels (masked selects, safe-divisor guards) must not hide UB —
+# every lane's intermediate math has to be well-defined even where a mask
+# discards it.
+#
+# A fourth leg runs the same labelled suites in that tree with
+# PROXDET_SIMD_FORCE=scalar: dispatch is pinned to the scalar reference
+# kernels, so the detector properties prove the engines are
+# backend-agnostic (the simd suite still compares every compiled backend
+# with scalar through its test hook).
 #
 # The `socket`-labelled suite (the real-socket UDP backend) runs in every
 # labelled leg, most importantly the TSan tree: the epoll loop threads only
@@ -35,24 +42,16 @@
 # invariance across thread counts is exactly the property TSan and the
 # OBS-OFF build must not perturb.
 #
-# A fourth leg runs the `simd` suite under
-# -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
-# vector kernels (masked selects, safe-divisor guards) must not hide UB —
-# every lane's intermediate math has to be well-defined even where a mask
-# discards it.
-#
 #   scripts/check.sh [extra cmake args...]
 #
-# BUILD_DIR / OBS_OFF_BUILD_DIR / SIMD_OFF_BUILD_DIR / UBSAN_BUILD_DIR
-# override the build trees (defaults: build-tsan, build-obs-off,
-# build-simd-off and build-ubsan, kept separate from the plain `build`
-# tree so the configurations never fight).
+# BUILD_DIR / OBS_OFF_BUILD_DIR / UBSAN_BUILD_DIR override the build trees
+# (defaults: build-tsan, build-obs-off and build-ubsan, kept separate from
+# the plain `build` tree so the configurations never fight).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-tsan}"
 OBS_OFF_BUILD_DIR="${OBS_OFF_BUILD_DIR:-build-obs-off}"
-SIMD_OFF_BUILD_DIR="${SIMD_OFF_BUILD_DIR:-build-simd-off}"
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 JOBS="$(nproc)"
 LABELS='sanitize|net|obs|shard|simd|socket|latency|scale'
@@ -66,10 +65,8 @@ cmake -B "$OBS_OFF_BUILD_DIR" -S . -DPROXDET_OBS=OFF "$@"
 cmake --build "$OBS_OFF_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$OBS_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
 
-cmake -B "$SIMD_OFF_BUILD_DIR" -S . -DPROXDET_SIMD=OFF "$@"
-cmake --build "$SIMD_OFF_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$SIMD_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
-
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_BUILD_DIR" -L simd --output-on-failure -j "$JOBS"
+PROXDET_SIMD_FORCE=scalar \
+  ctest --test-dir "$UBSAN_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/timer.h"
@@ -36,7 +35,7 @@ struct NaiveMetrics {
 /// (the SoA lane count handed to the kernel) and the total lane count — a
 /// pure function of the workload, so both stay in the deterministic digest.
 /// The dispatch counter is keyed by the runtime-selected backend, which
-/// depends on CPUID and -DPROXDET_SIMD, hence wall-clock-kinded.
+/// depends on CPUID and the compiler, hence wall-clock-kinded.
 struct SimdScanMetrics {
   obs::HistogramMetric& pair_scan_batch;
   obs::Counter& pair_scan_lanes;
@@ -64,6 +63,15 @@ struct SimdScanMetrics {
 // next to the distance math, fine enough to balance the pool at 10k users.
 constexpr size_t kEdgeGrain = 1024;
 
+/// InterestGraph::Edges()' order: by u, then by w.
+bool EdgeLess(const InterestGraph::Edge& a, const InterestGraph::Edge& b) {
+  return a.u != b.u ? a.u < b.u : a.w < b.w;
+}
+
+bool SamePair(const InterestGraph::Edge& a, const InterestGraph::Edge& b) {
+  return a.u == b.u && a.w == b.w;
+}
+
 }  // namespace
 
 // The per-epoch pair check is split into a parallel read-only scan and a
@@ -76,9 +84,10 @@ constexpr size_t kEdgeGrain = 1024;
 //    slot order — global edge order), flipping per-edge matched state and
 //    emitting alerts exactly where the historical serial loop would have.
 // Matched state is slot-indexed against a cached edge snapshot (rebuilt
-// only when graph updates apply); per-edge decisions depend only on that
-// edge's own persistent state, so the transition set is order-independent
-// and the commit order fixes the alert order. The scan is O(E) = O(F·N) per
+// only when graph updates apply, with each surviving pair's bit carried to
+// its new slot); per-edge decisions depend only on that edge's own
+// persistent state, so the transition set is order-independent and the
+// commit order fixes the alert order. The scan is O(E) = O(F·N) per
 // epoch, which is the paper's cost model for a fixed average degree F
 // (DESIGN.md §10 records why there is no spatial index beside it).
 void NaiveDetector::Run(const World& world) {
@@ -86,9 +95,9 @@ void NaiveDetector::Run(const World& world) {
   phase_times_ = PhaseTimes();
   alerts_.clear();
   InterestGraph graph = world.graph();  // Mutable copy for dynamic updates.
-  std::unordered_set<uint64_t> matched_pairs;  // Source of truth across rebuilds.
   std::vector<InterestGraph::Edge> edges;
-  std::vector<uint8_t> matched;  // Slot-aligned mirror of matched_pairs.
+  std::vector<uint8_t> matched;  // Slot-aligned: pair edges[i] is in range.
+  std::vector<uint8_t> carried;  // Rebuild scratch for the next `matched`.
   std::vector<Vec2> pos(world.user_count());
   bool edges_dirty = true;
   size_t next_update = 0;
@@ -122,17 +131,33 @@ void NaiveDetector::Run(const World& world) {
         graph.AddEdge(up.u, up.w, up.alert_radius);
       } else {
         graph.RemoveEdge(up.u, up.w);
-        matched_pairs.erase(PairKey(up.u, up.w));
+        // A removed pair forgets its state, so a pair removed and re-added
+        // in one batch starts unmatched.
+        const InterestGraph::Edge pair{std::min(up.u, up.w),
+                                       std::max(up.u, up.w), 0.0};
+        const auto it =
+            std::lower_bound(edges.begin(), edges.end(), pair, EdgeLess);
+        if (it != edges.end() && SamePair(*it, pair)) {
+          matched[it - edges.begin()] = 0;
+        }
       }
       ++next_update;
       edges_dirty = true;
     }
     if (edges_dirty) {
-      edges = graph.Edges();
-      matched.assign(edges.size(), 0);
-      for (size_t i = 0; i < edges.size(); ++i) {
-        matched[i] = matched_pairs.count(PairKey(edges[i].u, edges[i].w)) > 0;
+      // Both snapshots are sorted by (u, w): one merge pass moves each
+      // surviving pair's bit to its new slot; new pairs start unmatched.
+      std::vector<InterestGraph::Edge> next = graph.Edges();
+      carried.assign(next.size(), 0);
+      size_t i = 0;
+      for (size_t j = 0; j < next.size(); ++j) {
+        while (i < edges.size() && EdgeLess(edges[i], next[j])) ++i;
+        if (i < edges.size() && SamePair(edges[i], next[j])) {
+          carried[j] = matched[i];
+        }
       }
+      edges = std::move(next);
+      matched.swap(carried);
       edges_dirty = false;
     }
     // Every client uploads its position.
@@ -201,13 +226,10 @@ void NaiveDetector::Run(const World& world) {
     }
     for (const uint32_t i : transitions) {
       const auto& e = edges[i];
-      const uint64_t key = PairKey(e.u, e.w);
       if (matched[i]) {
         matched[i] = 0;
-        matched_pairs.erase(key);
       } else {
         matched[i] = 1;
-        matched_pairs.insert(key);
         const UserId a = std::min(e.u, e.w);
         const UserId b = std::max(e.u, e.w);
         alerts_.push_back({epoch, a, b});

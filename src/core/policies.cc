@@ -31,7 +31,7 @@ struct StripeMetrics {
   obs::HistogramMetric& batch_segments;
   /// Batched-kernel dispatches, keyed by the runtime-selected backend
   /// (simd.dispatch.scalar|w4|w8). The split is host- and build-dependent
-  /// (CPUID, -DPROXDET_SIMD), so it is wall-clock-kinded and stays out of
+  /// (CPUID, compiler flags), so it is wall-clock-kinded and stays out of
   /// the deterministic digest.
   obs::Counter& dispatches;
 
@@ -82,8 +82,9 @@ Vec2 RepresentativePoint(const SafeRegionShape& shape, int epoch) {
           for (const Vec2& v : s.vertices()) acc += v;
           return acc / static_cast<double>(s.vertices().size());
         } else {
-          const auto& pts = s.path().points();
-          return pts.empty() ? Vec2{0.0, 0.0} : pts[pts.size() / 2];
+          const size_t n = s.anchor_count();
+          if (n == 0) return Vec2{0.0, 0.0};
+          return Vec2{s.anchor_xs()[n / 2], s.anchor_ys()[n / 2]};
         }
       },
       shape);

@@ -15,16 +15,12 @@ namespace {
 /// Distance from one path segment to a friend's region shape. Bit-exact
 /// with (and previously implemented as) ShapeMinDistance between a
 /// zero-radius temporary Stripe over {a, b} and the shape — but evaluated
-/// directly through the batched kernels, with the segment's derived form
-/// computed once and no heap allocation: this runs friends x m times per
-/// rebuild and was the top profile entry before the rewrite. The
-/// zero-radius term the temporary contributed (d - 0.0) is an exact no-op
-/// on the non-negative distances and is dropped.
+/// directly through the batched kernels with no heap allocation: this runs
+/// friends x m times per rebuild and was the top profile entry before the
+/// rewrite. The zero-radius term the temporary contributed (d - 0.0) is an
+/// exact no-op on the non-negative distances and is dropped.
 double SegmentToShape(const Vec2& a, const Vec2& b,
                       const SafeRegionShape& shape, int epoch) {
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const double len2 = dx * dx + dy * dy;
   return std::visit(
       [&](const auto& s) -> double {
         using T = std::decay_t<decltype(s)>;
@@ -37,7 +33,7 @@ double SegmentToShape(const Vec2& a, const Vec2& b,
             c = s;
           }
           double sq;
-          simd::SegmentSquaredDistanceToPoints(a.x, a.y, dx, dy, len2,
+          simd::SegmentSquaredDistanceToPoints(a.x, a.y, b.x, b.y,
                                                &c.center.x, &c.center.y, 1,
                                                &sq);
           return std::max(0.0, std::sqrt(sq) - c.radius);
@@ -45,11 +41,11 @@ double SegmentToShape(const Vec2& a, const Vec2& b,
           // Stripe::DistanceToStripe's branch structure with the temporary
           // as the (always 2-point) left-hand path.
           double d;
-          if (s.path().empty()) {
+          if (s.anchor_count() == 0) {
             d = std::numeric_limits<double>::infinity();
-          } else if (s.path().size() == 1) {
+          } else if (s.anchor_count() == 1) {
             double sq;
-            simd::SegmentSquaredDistanceToPoints(a.x, a.y, dx, dy, len2,
+            simd::SegmentSquaredDistanceToPoints(a.x, a.y, b.x, b.y,
                                                  s.anchor_xs(), s.anchor_ys(),
                                                  1, &sq);
             d = std::sqrt(sq);
@@ -96,7 +92,7 @@ struct StagedConstraints {
   // degenerate single-anchor encoding is NOT bit-safe for the seg-seg
   // kernel, so single-anchor stripes go in the point batch instead —
   // exactly the branch SegmentToShape / Stripe::DistanceToPoint take.
-  std::vector<double> sax, say, sbx, sby, sdx, sdy, slen2;
+  std::vector<double> sax, say, sbx, sby;
   struct Range {
     size_t friend_index;
     size_t begin, end;  // lane range in the concatenated arrays
@@ -108,8 +104,8 @@ struct StagedConstraints {
   std::vector<double> pt_sq, seg_sq, pdtp_sq;
 
   simd::SegmentSoA view() const {
-    return simd::SegmentSoA{sax.data(), say.data(), sbx.data(),  sby.data(),
-                            sdx.data(), sdy.data(), slen2.data(), sax.size()};
+    return simd::SegmentSoA{sax.data(), say.data(), sbx.data(), sby.data(),
+                            sax.size()};
   }
 };
 
@@ -123,9 +119,6 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
   out.say.clear();
   out.sbx.clear();
   out.sby.clear();
-  out.sdx.clear();
-  out.sdy.clear();
-  out.slen2.clear();
   out.ranges.clear();
   out.cold.clear();
   for (size_t i = 0; i < friends.size(); ++i) {
@@ -146,8 +139,8 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
             out.pt_friend.push_back(i);
           } else if constexpr (std::is_same_v<T, Stripe>) {
             // Empty path: both distances are +infinity, a min no-op — drop.
-            if (s.path().empty()) return;
-            if (s.path().size() == 1) {
+            if (s.anchor_count() == 0) return;
+            if (s.anchor_count() == 1) {
               out.ptx.push_back(s.anchor_xs()[0]);
               out.pty.push_back(s.anchor_ys()[0]);
               out.ptr.push_back(s.radius());
@@ -160,9 +153,6 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
             out.say.insert(out.say.end(), segs.ay, segs.ay + segs.n);
             out.sbx.insert(out.sbx.end(), segs.bx, segs.bx + segs.n);
             out.sby.insert(out.sby.end(), segs.by, segs.by + segs.n);
-            out.sdx.insert(out.sdx.end(), segs.dx, segs.dx + segs.n);
-            out.sdy.insert(out.sdy.end(), segs.dy, segs.dy + segs.n);
-            out.slen2.insert(out.slen2.end(), segs.len2, segs.len2 + segs.n);
             out.ranges.push_back({i, begin, begin + segs.n, s.radius()});
           } else {  // ConvexPolygon
             out.cold.push_back(i);
@@ -332,17 +322,14 @@ StripeBuildResult BuildPredictiveStripe(
     }
     if (violated) break;
 
-    // Exact segment-to-shape clearances. The query segment's derived form
-    // is computed once per step exactly as SegmentToShape derives it per
-    // call; point-like friends run as one batch.
-    const double qdx = next_anchor.x - prev_anchor.x;
-    const double qdy = next_anchor.y - prev_anchor.y;
-    const double qlen2 = qdx * qdx + qdy * qdy;
+    // Exact segment-to-shape clearances; point-like friends run as one
+    // batch.
     if (!staged.ptx.empty()) {
       ++dispatches;
       simd::SegmentSquaredDistanceToPoints(
-          prev_anchor.x, prev_anchor.y, qdx, qdy, qlen2, staged.ptx.data(),
-          staged.pty.data(), staged.ptx.size(), staged.pt_sq.data());
+          prev_anchor.x, prev_anchor.y, next_anchor.x, next_anchor.y,
+          staged.ptx.data(), staged.pty.data(), staged.ptx.size(),
+          staged.pt_sq.data());
       for (size_t k = 0; k < staged.pt_friend.size(); ++k) {
         const double exact_d =
             std::max(0.0, std::sqrt(staged.pt_sq[k]) - staged.ptr[k]);
@@ -415,10 +402,8 @@ StripeBuildResult BuildPredictiveStripe(
     const double p = StayProbability(sol.radius, sigma_m);
     if (std::pow(p, m) < config.p_min) break;
   }
-  best.stripe = Stripe(
-      Polyline(std::vector<Vec2>(anchors.begin(),
-                                 anchors.begin() + best.m + 1)),
-      best.solution.radius);
+  best.stripe = Stripe(std::span<const Vec2>(anchors.data(), best.m + 1),
+                       best.solution.radius);
   best.staged_point_lanes = staged.ptx.size();
   best.staged_segment_lanes = staged.sax.size();
   best.kernel_dispatches = dispatches;

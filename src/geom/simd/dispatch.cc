@@ -59,10 +59,8 @@ bool BitEq8(const uint8_t* a, const uint8_t* b, size_t n) {
 /// Fill a SegmentSoA backing store; every 5th segment degenerate (a == b)
 /// to exercise the len2 <= 0 lanes.
 struct SegBatch {
-  double ax[kN], ay[kN], bx[kN], by[kN], dx[kN], dy[kN], len2[kN];
-  SegmentSoA View(size_t n) const {
-    return SegmentSoA{ax, ay, bx, by, dx, dy, len2, n};
-  }
+  double ax[kN], ay[kN], bx[kN], by[kN];
+  SegmentSoA View(size_t n) const { return SegmentSoA{ax, ay, bx, by, n}; }
   void Fill(Rng& rng) {
     for (size_t i = 0; i < kN; ++i) {
       ax[i] = rng.Coord();
@@ -74,9 +72,6 @@ struct SegBatch {
         bx[i] = rng.Coord();
         by[i] = rng.Coord();
       }
-      dx[i] = bx[i] - ax[i];
-      dy[i] = by[i] - ay[i];
-      len2[i] = dx[i] * dx[i] + dy[i] * dy[i];
     }
   }
 };
@@ -119,11 +114,10 @@ bool VerifyTable(const KernelTable& t) {
     if (!BitEq8(got_m, want_m, n)) return false;
 
     for (size_t s : {size_t{0}, size_t{4}}) {  // Regular + degenerate segment.
-      t.segment_sqdist_to_points(segs.ax[s], segs.ay[s], segs.dx[s],
-                                 segs.dy[s], segs.len2[s], px, py, n, got_d);
-      ref.segment_sqdist_to_points(segs.ax[s], segs.ay[s], segs.dx[s],
-                                   segs.dy[s], segs.len2[s], px, py, n,
-                                   want_d);
+      t.segment_sqdist_to_points(segs.ax[s], segs.ay[s], segs.bx[s],
+                                 segs.by[s], px, py, n, got_d);
+      ref.segment_sqdist_to_points(segs.ax[s], segs.ay[s], segs.bx[s],
+                                   segs.by[s], px, py, n, want_d);
       if (!BitEq(got_d, want_d, n)) return false;
     }
 
@@ -283,14 +277,6 @@ const char* BackendName(Backend b) {
   return "?";
 }
 
-bool CompiledWithSimd() {
-#if defined(PROXDET_SIMD_HAS_W4) || defined(PROXDET_SIMD_HAS_W8)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool SelfCheckPassed() { return GetDispatch().self_check_passed; }
 
 bool SetActiveBackendForTest(Backend b) {
@@ -307,11 +293,11 @@ void PointsInBoxes(const double* px, const double* py, const double* lox,
   GetDispatch().table->points_in_boxes(px, py, lox, loy, hix, hiy, n, inside);
 }
 
-void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                    double dy, double len2, const double* px,
+void SegmentSquaredDistanceToPoints(double ax, double ay, double bx,
+                                    double by, const double* px,
                                     const double* py, size_t n, double* out) {
-  GetDispatch().table->segment_sqdist_to_points(ax, ay, dx, dy, len2, px, py,
-                                                n, out);
+  GetDispatch().table->segment_sqdist_to_points(ax, ay, bx, by, px, py, n,
+                                                out);
 }
 
 void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,

@@ -16,7 +16,7 @@ struct KernelTable {
   void (*points_in_boxes)(const double*, const double*, const double*,
                           const double*, const double*, const double*, size_t,
                           uint8_t*);
-  void (*segment_sqdist_to_points)(double, double, double, double, double,
+  void (*segment_sqdist_to_points)(double, double, double, double,
                                    const double*, const double*, size_t,
                                    double*);
   void (*polyline_sqdist_to_points)(const SegmentSoA&, const double*,

@@ -75,10 +75,19 @@ struct Kernels {
 
   // ---- shared geometric pieces --------------------------------------------
 
+  /// Segments j..n of the view: the operand of a kernel's scalar tail.
+  static SegmentSoA Tail(const SegmentSoA& segs, size_t j) {
+    return SegmentSoA{segs.ax + j, segs.ay + j, segs.bx + j, segs.by + j,
+                      segs.n - j};
+  }
+
   /// SqDistPointSeg with per-lane segments (the degenerate guard becomes a
-  /// mask; division uses the safe-divisor trick described at the top).
-  static VD SqDistPointSegLaneSeg(VD px, VD py, VD ax, VD ay, VD dx, VD dy,
-                                  VD len2) {
+  /// mask; division uses the safe-divisor trick described at the top). The
+  /// derived terms are ClosestPointOnSegment's d = b - a, len2 = |d|^2.
+  static VD SqDistPointSegLaneSeg(VD px, VD py, VD ax, VD ay, VD bx, VD by) {
+    const VD dx = bx - ax;
+    const VD dy = by - ay;
+    const VD len2 = dx * dx + dy * dy;
     const VD zero = Splat(0.0);
     const VD one = Splat(1.0);
     const VL degen = Le(len2, zero);
@@ -98,9 +107,13 @@ struct Kernels {
   }
 
   /// SqDistPointSeg with per-lane points against ONE segment (uniform
-  /// operands, so the degenerate guard stays a plain branch).
+  /// operands, so the derived terms are scalars and the degenerate guard
+  /// stays a plain branch).
   static VD SqDistPointSegUniformSeg(VD px, VD py, double ax, double ay,
-                                     double dx, double dy, double len2) {
+                                     double bx, double by) {
+    const double dx = bx - ax;
+    const double dy = by - ay;
+    const double len2 = dx * dx + dy * dy;
     const VD vax = Splat(ax);
     const VD vay = Splat(ay);
     if (len2 <= 0.0) {
@@ -156,19 +169,18 @@ struct Kernels {
     }
   }
 
-  static void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                             double dy, double len2,
-                                             const double* px,
+  static void SegmentSquaredDistanceToPoints(double ax, double ay, double bx,
+                                             double by, const double* px,
                                              const double* py, size_t n,
                                              double* out) {
     size_t i = 0;
     for (; i + W <= n; i += W) {
       Store(out + i, SqDistPointSegUniformSeg(Load(px + i), Load(py + i), ax,
-                                              ay, dx, dy, len2));
+                                              ay, bx, by));
     }
     if (i < n) {
-      scalar::SegmentSquaredDistanceToPoints(ax, ay, dx, dy, len2, px + i,
-                                             py + i, n - i, out + i);
+      scalar::SegmentSquaredDistanceToPoints(ax, ay, bx, by, px + i, py + i,
+                                             n - i, out + i);
     }
   }
 
@@ -183,8 +195,7 @@ struct Kernels {
       VD best = Splat(std::numeric_limits<double>::infinity());
       for (size_t j = 0; j < segs.n; ++j) {
         const VD d = SqDistPointSegUniformSeg(x, y, segs.ax[j], segs.ay[j],
-                                              segs.dx[j], segs.dy[j],
-                                              segs.len2[j]);
+                                              segs.bx[j], segs.by[j]);
         best = Select(Lt(d, best), d, best);
       }
       Store(out + i, best);
@@ -203,17 +214,14 @@ struct Kernels {
     size_t j = 0;
     for (; j + W <= segs.n; j += W) {
       const VD d = SqDistPointSegLaneSeg(vpx, vpy, Load(segs.ax + j),
-                                         Load(segs.ay + j), Load(segs.dx + j),
-                                         Load(segs.dy + j),
-                                         Load(segs.len2 + j));
+                                         Load(segs.ay + j), Load(segs.bx + j),
+                                         Load(segs.by + j));
       best = Select(Lt(d, best), d, best);
     }
     double b = ReduceMin(best, std::numeric_limits<double>::infinity());
     if (j < segs.n) {
-      const SegmentSoA tail{segs.ax + j, segs.ay + j, segs.bx + j,
-                            segs.by + j, segs.dx + j, segs.dy + j,
-                            segs.len2 + j, segs.n - j};
-      const double tb = scalar::PolylineSquaredDistanceToPoint(tail, px, py);
+      const double tb =
+          scalar::PolylineSquaredDistanceToPoint(Tail(segs, j), px, py);
       b = tb < b ? tb : b;
     }
     return b;
@@ -228,25 +236,22 @@ struct Kernels {
     for (; j + W <= segs.n; j += W) {
       Store(out + j,
             SqDistPointSegLaneSeg(vpx, vpy, Load(segs.ax + j),
-                                  Load(segs.ay + j), Load(segs.dx + j),
-                                  Load(segs.dy + j), Load(segs.len2 + j)));
+                                  Load(segs.ay + j), Load(segs.bx + j),
+                                  Load(segs.by + j)));
     }
     if (j < segs.n) {
-      const SegmentSoA tail{segs.ax + j, segs.ay + j, segs.bx + j,
-                            segs.by + j, segs.dx + j, segs.dy + j,
-                            segs.len2 + j, segs.n - j};
-      scalar::SegmentsSquaredDistanceToPoint(tail, px, py, out + j);
+      scalar::SegmentsSquaredDistanceToPoint(Tail(segs, j), px, py, out + j);
     }
   }
 
   /// Per-lane SquaredDistanceSegmentToSegment of the uniform query segment
-  /// (scalar form qa/qd/qlen2, splatted form passed alongside) against one
-  /// W-wide block of target lane segments starting at index j. The shared
-  /// body of the reduced and store seg-to-segments kernels.
-  static VD SqDistSegSegBlock(double qax_s, double qay_s, double qdx_s,
-                              double qdy_s, double qlen2_s, VD qax, VD qay,
-                              VD qbx, VD qby, VD qdx, VD qdy,
-                              const SegmentSoA& segs, size_t j) {
+  /// (scalar endpoints, splatted endpoints and direction passed alongside)
+  /// against one W-wide block of target lane segments starting at index j.
+  /// The shared body of the reduced and store seg-to-segments kernels.
+  static VD SqDistSegSegBlock(double qax_s, double qay_s, double qbx_s,
+                              double qby_s, VD qax, VD qay, VD qbx, VD qby,
+                              VD qdx, VD qdy, const SegmentSoA& segs,
+                              size_t j) {
     const VD eps = Splat(1e-12);
     const VD neps = Splat(-1e-12);
     const VD zero = Splat(0.0);
@@ -254,9 +259,8 @@ struct Kernels {
     const VD say = Load(segs.ay + j);
     const VD sbx = Load(segs.bx + j);
     const VD sby = Load(segs.by + j);
-    const VD sdx = Load(segs.dx + j);
-    const VD sdy = Load(segs.dy + j);
-    const VD slen2 = Load(segs.len2 + j);
+    const VD sdx = sbx - sax;
+    const VD sdy = sby - say;
     // Orientation signs as (positive, negative) mask pairs; cross products
     // written exactly as Orientation's (b - a).Cross(c - a).
     const VD c1 = qdx * (say - qay) - qdy * (sax - qax);
@@ -283,12 +287,12 @@ struct Kernels {
     // The four endpoint distances, exactly SquaredDistanceSegmentToSegment's
     // operand orders (d1/d2 against the target lane segment, d3/d4 against
     // the uniform query segment).
-    const VD d1 = SqDistPointSegLaneSeg(qax, qay, sax, say, sdx, sdy, slen2);
-    const VD d2 = SqDistPointSegLaneSeg(qbx, qby, sax, say, sdx, sdy, slen2);
-    const VD d3 = SqDistPointSegUniformSeg(sax, say, qax_s, qay_s, qdx_s,
-                                           qdy_s, qlen2_s);
-    const VD d4 = SqDistPointSegUniformSeg(sbx, sby, qax_s, qay_s, qdx_s,
-                                           qdy_s, qlen2_s);
+    const VD d1 = SqDistPointSegLaneSeg(qax, qay, sax, say, sbx, sby);
+    const VD d2 = SqDistPointSegLaneSeg(qbx, qby, sax, say, sbx, sby);
+    const VD d3 =
+        SqDistPointSegUniformSeg(sax, say, qax_s, qay_s, qbx_s, qby_s);
+    const VD d4 =
+        SqDistPointSegUniformSeg(sbx, sby, qax_s, qay_s, qbx_s, qby_s);
     const VD m12 = Select(Lt(d2, d1), d2, d1);
     const VD m34 = Select(Lt(d4, d3), d4, d3);
     const VD dmin = Select(Lt(m34, m12), m34, m12);
@@ -298,29 +302,23 @@ struct Kernels {
   static double SegmentToPolylineSquaredDistance(double qax_s, double qay_s,
                                                  double qbx_s, double qby_s,
                                                  const SegmentSoA& segs) {
-    const double qdx_s = qbx_s - qax_s;
-    const double qdy_s = qby_s - qay_s;
-    const double qlen2_s = qdx_s * qdx_s + qdy_s * qdy_s;
     const VD qax = Splat(qax_s);
     const VD qay = Splat(qay_s);
     const VD qbx = Splat(qbx_s);
     const VD qby = Splat(qby_s);
-    const VD qdx = Splat(qdx_s);
-    const VD qdy = Splat(qdy_s);
+    const VD qdx = qbx - qax;
+    const VD qdy = qby - qay;
     VD best = Splat(std::numeric_limits<double>::infinity());
     size_t j = 0;
     for (; j + W <= segs.n; j += W) {
-      const VD d = SqDistSegSegBlock(qax_s, qay_s, qdx_s, qdy_s, qlen2_s,
-                                     qax, qay, qbx, qby, qdx, qdy, segs, j);
+      const VD d = SqDistSegSegBlock(qax_s, qay_s, qbx_s, qby_s, qax, qay,
+                                     qbx, qby, qdx, qdy, segs, j);
       best = Select(Lt(d, best), d, best);
     }
     double b = ReduceMin(best, std::numeric_limits<double>::infinity());
     if (j < segs.n) {
-      const SegmentSoA tail{segs.ax + j, segs.ay + j, segs.bx + j,
-                            segs.by + j, segs.dx + j, segs.dy + j,
-                            segs.len2 + j, segs.n - j};
       const double tb = scalar::SegmentToPolylineSquaredDistance(
-          qax_s, qay_s, qbx_s, qby_s, tail);
+          qax_s, qay_s, qbx_s, qby_s, Tail(segs, j));
       b = tb < b ? tb : b;
     }
     return b;
@@ -330,27 +328,20 @@ struct Kernels {
                                                 double qbx_s, double qby_s,
                                                 const SegmentSoA& segs,
                                                 double* out) {
-    const double qdx_s = qbx_s - qax_s;
-    const double qdy_s = qby_s - qay_s;
-    const double qlen2_s = qdx_s * qdx_s + qdy_s * qdy_s;
     const VD qax = Splat(qax_s);
     const VD qay = Splat(qay_s);
     const VD qbx = Splat(qbx_s);
     const VD qby = Splat(qby_s);
-    const VD qdx = Splat(qdx_s);
-    const VD qdy = Splat(qdy_s);
+    const VD qdx = qbx - qax;
+    const VD qdy = qby - qay;
     size_t j = 0;
     for (; j + W <= segs.n; j += W) {
-      Store(out + j,
-            SqDistSegSegBlock(qax_s, qay_s, qdx_s, qdy_s, qlen2_s, qax, qay,
-                              qbx, qby, qdx, qdy, segs, j));
+      Store(out + j, SqDistSegSegBlock(qax_s, qay_s, qbx_s, qby_s, qax, qay,
+                                       qbx, qby, qdx, qdy, segs, j));
     }
     if (j < segs.n) {
-      const SegmentSoA tail{segs.ax + j, segs.ay + j, segs.bx + j,
-                            segs.by + j, segs.dx + j, segs.dy + j,
-                            segs.len2 + j, segs.n - j};
       scalar::SegmentToSegmentsSquaredDistances(qax_s, qay_s, qbx_s, qby_s,
-                                                tail, out + j);
+                                                Tail(segs, j), out + j);
     }
   }
 

@@ -18,12 +18,14 @@ namespace scalar {
 
 namespace {
 
-/// SquaredDistancePointToSegment(p, s) given the precomputed segment form
-/// (a, d = b - a, len2 = |d|^2). Mirrors geom/segment.cc:
-/// ClosestPointOnSegment (degenerate guard, clamp(dot/len2)) followed by
-/// SquaredDistance(p, closest).
+/// SquaredDistancePointToSegment(p, (a, b)). Mirrors geom/segment.cc:
+/// ClosestPointOnSegment (d = b - a, len2 = d.SquaredNorm(), degenerate
+/// guard, clamp(dot/len2)) followed by SquaredDistance(p, closest).
 inline double SqDistPointSeg(double px, double py, double ax, double ay,
-                             double dx, double dy, double len2) {
+                             double bx, double by) {
+  const double dx = bx - ax;
+  const double dy = by - ay;
+  const double len2 = dx * dx + dy * dy;
   double cx, cy;
   if (len2 <= 0.0) {  // Degenerate segment: closest point is a.
     cx = ax;
@@ -63,12 +65,14 @@ inline bool OnSeg(double px, double py, double sax, double say, double sbx,
          py <= maxy + 1e-12;
 }
 
-/// SquaredDistanceSegmentToSegment(q, s) with both segments in precomputed
-/// form; replicates SegmentsIntersect + the four endpoint distances.
+/// SquaredDistanceSegmentToSegment(q, s); replicates SegmentsIntersect +
+/// the four endpoint distances.
 inline double SqDistSegSeg(double qax, double qay, double qbx, double qby,
-                           double qdx, double qdy, double qlen2, double sax,
-                           double say, double sbx, double sby, double sdx,
-                           double sdy, double slen2) {
+                           double sax, double say, double sbx, double sby) {
+  const double qdx = qbx - qax;
+  const double qdy = qby - qay;
+  const double sdx = sbx - sax;
+  const double sdy = sby - say;
   const int o1 = OrientSign(qdx, qdy, sax - qax, say - qay);
   const int o2 = OrientSign(qdx, qdy, sbx - qax, sby - qay);
   const int o3 = OrientSign(sdx, sdy, qax - sax, qay - say);
@@ -87,10 +91,10 @@ inline double SqDistSegSeg(double qax, double qay, double qbx, double qby,
     intersect = true;
   }
   if (intersect) return 0.0;
-  const double d1 = SqDistPointSeg(qax, qay, sax, say, sdx, sdy, slen2);
-  const double d2 = SqDistPointSeg(qbx, qby, sax, say, sdx, sdy, slen2);
-  const double d3 = SqDistPointSeg(sax, say, qax, qay, qdx, qdy, qlen2);
-  const double d4 = SqDistPointSeg(sbx, sby, qax, qay, qdx, qdy, qlen2);
+  const double d1 = SqDistPointSeg(qax, qay, sax, say, sbx, sby);
+  const double d2 = SqDistPointSeg(qbx, qby, sax, say, sbx, sby);
+  const double d3 = SqDistPointSeg(sax, say, qax, qay, qbx, qby);
+  const double d4 = SqDistPointSeg(sbx, sby, qax, qay, qbx, qby);
   const double m12 = d2 < d1 ? d2 : d1;  // std::min(d1, d2)
   const double m34 = d4 < d3 ? d4 : d3;
   return m34 < m12 ? m34 : m12;
@@ -123,11 +127,11 @@ void PointsInBoxes(const double* px, const double* py, const double* lox,
   }
 }
 
-void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                    double dy, double len2, const double* px,
+void SegmentSquaredDistanceToPoints(double ax, double ay, double bx,
+                                    double by, const double* px,
                                     const double* py, size_t n, double* out) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = SqDistPointSeg(px[i], py[i], ax, ay, dx, dy, len2);
+    out[i] = SqDistPointSeg(px[i], py[i], ax, ay, bx, by);
   }
 }
 
@@ -139,7 +143,7 @@ void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
     double best = std::numeric_limits<double>::infinity();
     for (size_t j = 0; j < segs.n; ++j) {
       const double d = SqDistPointSeg(px[i], py[i], segs.ax[j], segs.ay[j],
-                                      segs.dx[j], segs.dy[j], segs.len2[j]);
+                                      segs.bx[j], segs.by[j]);
       best = d < best ? d : best;  // std::min(best, d)
     }
     out[i] = best;
@@ -151,7 +155,7 @@ double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
   double best = std::numeric_limits<double>::infinity();
   for (size_t j = 0; j < segs.n; ++j) {
     const double d = SqDistPointSeg(px, py, segs.ax[j], segs.ay[j],
-                                    segs.dx[j], segs.dy[j], segs.len2[j]);
+                                    segs.bx[j], segs.by[j]);
     best = d < best ? d : best;
   }
   return best;
@@ -162,24 +166,17 @@ void SegmentsSquaredDistanceToPoint(const SegmentSoA& segs, double px,
   // Lane = segment: the loop body of PolylineSquaredDistanceToPoint with a
   // store in place of the min fold.
   for (size_t j = 0; j < segs.n; ++j) {
-    out[j] = SqDistPointSeg(px, py, segs.ax[j], segs.ay[j], segs.dx[j],
-                            segs.dy[j], segs.len2[j]);
+    out[j] = SqDistPointSeg(px, py, segs.ax[j], segs.ay[j], segs.bx[j],
+                            segs.by[j]);
   }
 }
 
 double SegmentToPolylineSquaredDistance(double qax, double qay, double qbx,
                                         double qby, const SegmentSoA& segs) {
-  // The query segment's derived form, computed once exactly as Segment
-  // construction + ClosestPointOnSegment would per call.
-  const double qdx = qbx - qax;
-  const double qdy = qby - qay;
-  const double qlen2 = qdx * qdx + qdy * qdy;
   double best = std::numeric_limits<double>::infinity();
   for (size_t j = 0; j < segs.n; ++j) {
-    const double d =
-        SqDistSegSeg(qax, qay, qbx, qby, qdx, qdy, qlen2, segs.ax[j],
-                     segs.ay[j], segs.bx[j], segs.by[j], segs.dx[j],
-                     segs.dy[j], segs.len2[j]);
+    const double d = SqDistSegSeg(qax, qay, qbx, qby, segs.ax[j], segs.ay[j],
+                                  segs.bx[j], segs.by[j]);
     best = d < best ? d : best;
   }
   return best;
@@ -189,14 +186,10 @@ void SegmentToSegmentsSquaredDistances(double qax, double qay, double qbx,
                                        double qby, const SegmentSoA& segs,
                                        double* out) {
   // Lane = target segment: SegmentToPolylineSquaredDistance's loop body
-  // with a store in place of the min fold (same once-per-call query form).
-  const double qdx = qbx - qax;
-  const double qdy = qby - qay;
-  const double qlen2 = qdx * qdx + qdy * qdy;
+  // with a store in place of the min fold.
   for (size_t j = 0; j < segs.n; ++j) {
-    out[j] = SqDistSegSeg(qax, qay, qbx, qby, qdx, qdy, qlen2, segs.ax[j],
-                          segs.ay[j], segs.bx[j], segs.by[j], segs.dx[j],
-                          segs.dy[j], segs.len2[j]);
+    out[j] = SqDistSegSeg(qax, qay, qbx, qby, segs.ax[j], segs.ay[j],
+                          segs.bx[j], segs.by[j]);
   }
 }
 

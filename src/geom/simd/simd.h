@@ -23,30 +23,25 @@ namespace simd {
 ///
 /// Backends: a scalar reference (always compiled; also the tail loop of
 /// every vector kernel), a 4-wide AVX2 unit and an 8-wide AVX-512F unit
-/// (compiled only when PROXDET_SIMD=ON and the compiler supports the
-/// flags). Dispatch picks the widest backend the running CPU supports —
+/// (compiled when the compiler supports the flags). Dispatch picks the widest backend the running CPU supports —
 /// but only after a one-time bitwise self-check against the scalar
 /// reference on deterministic pseudo-random batches; a backend that fails
 /// verification is never used (the "runtime-verified scalar fallback").
 /// Vector translation units are built with -ffp-contract=off so no FMA
 /// contraction can perturb the scalar-identical operation sequence.
 
-/// SoA view of a polyline's segments. Arrays hold, per segment i:
-/// endpoints (ax,ay)-(bx,by), the precomputed direction d = b - a and its
-/// squared norm len2 = dx*dx + dy*dy. The precomputed fields are the exact
-/// doubles the scalar path computes per call (pure functions of a and b),
-/// cached once at build time — batched queries re-derive nothing.
-/// A single-point polyline is represented as one degenerate segment
-/// (a == b, d == 0, len2 == 0); the degenerate-segment guard then yields
-/// bitwise the same distance as the scalar point-point special case.
+/// SoA view of a polyline's segments: segment i runs from (ax[i], ay[i])
+/// to (bx[i], by[i]). The kernels derive d = b - a and len2 = dx*dx + dy*dy
+/// per lane with ClosestPointOnSegment's operation sequence, so nothing
+/// beyond the endpoints is stored. A polyline's anchor arrays serve as both
+/// ends (b = a + 1, n = anchors - 1). A single-point polyline is one
+/// degenerate segment (b = a, n = 1); the degenerate-segment guard then
+/// yields bitwise the same distance as the scalar point-point special case.
 struct SegmentSoA {
   const double* ax = nullptr;
   const double* ay = nullptr;
   const double* bx = nullptr;
   const double* by = nullptr;
-  const double* dx = nullptr;
-  const double* dy = nullptr;
-  const double* len2 = nullptr;
   size_t n = 0;
 };
 
@@ -56,9 +51,6 @@ enum class Backend : int { kScalar = 0, kW4 = 1, kW8 = 2 };
 /// after the first call.
 Backend ActiveBackend();
 const char* BackendName(Backend b);
-/// True when the simd library was configured with PROXDET_SIMD=ON (vector
-/// backends compiled in — though the CPU still decides what runs).
-bool CompiledWithSimd();
 /// False only when a compiled vector backend failed the startup bitwise
 /// self-check and was rejected (the run then proceeds on scalar).
 bool SelfCheckPassed();
@@ -80,10 +72,9 @@ void PointsInBoxes(const double* px, const double* py, const double* lox,
                    const double* loy, const double* hix, const double* hiy,
                    size_t n, uint8_t* inside);
 
-/// Lane i: SquaredDistancePointToSegment((px[i], py[i]), segment), with the
-/// segment given in precomputed form (a, d = b - a, len2 = |d|^2).
-void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                    double dy, double len2, const double* px,
+/// Lane i: SquaredDistancePointToSegment((px[i], py[i]), (a, b)).
+void SegmentSquaredDistanceToPoints(double ax, double ay, double bx,
+                                    double by, const double* px,
                                     const double* py, size_t n, double* out);
 
 /// Lane i: Polyline::SquaredDistanceToPoint((px[i], py[i])) over the SoA
@@ -164,8 +155,8 @@ namespace scalar {
 void PointsInBoxes(const double* px, const double* py, const double* lox,
                    const double* loy, const double* hix, const double* hiy,
                    size_t n, uint8_t* inside);
-void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                    double dy, double len2, const double* px,
+void SegmentSquaredDistanceToPoints(double ax, double ay, double bx,
+                                    double by, const double* px,
                                     const double* py, size_t n, double* out);
 void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
                                      const double* py, size_t n, double* out);

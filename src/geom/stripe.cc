@@ -6,58 +6,38 @@
 
 namespace proxdet {
 
-Stripe::Stripe(Polyline path, double radius)
-    : path_(std::move(path)), radius_(radius) {
-  if (!path_.empty()) {
-    reject_box_.lo = reject_box_.hi = path_.points().front();
-    for (const Vec2& p : path_.points()) reject_box_.Extend(p);
+Stripe::Stripe(std::span<const Vec2> anchors, double radius)
+    : anchors_(2 * anchors.size()), radius_(radius) {
+  const size_t n = anchors.size();
+  for (size_t i = 0; i < n; ++i) {
+    anchors_[i] = anchors[i].x;
+    anchors_[n + i] = anchors[i].y;
+  }
+  if (n > 0) {
+    reject_box_.lo = reject_box_.hi = anchors[0];
+    for (const Vec2& p : anchors) reject_box_.Extend(p);
     // Inflate by the radius plus 1e-6: three orders of magnitude above the
     // 1e-9 containment tolerance, so rounding in the inflation can never
     // turn a contained point into a reject.
     const double margin = radius_ + 1e-6;
     reject_box_.lo -= Vec2{margin, margin};
     reject_box_.hi += Vec2{margin, margin};
-    has_reject_box_ = true;
   }
+}
 
-  // Build the SoA cache: per-segment a, b, d = b - a, len2 = |d|^2 (the
-  // exact doubles ClosestPointOnSegment derives per call), then the anchor
-  // coordinates. A single-point path becomes one degenerate segment.
-  const std::vector<Vec2>& pts = path_.points();
-  const size_t n = pts.size();
-  soa_segs_ = n == 0 ? 0 : (n == 1 ? 1 : n - 1);
-  soa_.resize(7 * soa_segs_ + 2 * n);
-  double* ax = soa_.data();
-  double* ay = ax + soa_segs_;
-  double* bx = ay + soa_segs_;
-  double* by = bx + soa_segs_;
-  double* dx = by + soa_segs_;
-  double* dy = dx + soa_segs_;
-  double* len2 = dy + soa_segs_;
-  for (size_t i = 0; i < soa_segs_; ++i) {
-    const Vec2& a = pts[i];
-    const Vec2& b = pts[n == 1 ? 0 : i + 1];
-    ax[i] = a.x;
-    ay[i] = a.y;
-    bx[i] = b.x;
-    by[i] = b.y;
-    dx[i] = b.x - a.x;
-    dy[i] = b.y - a.y;
-    len2[i] = dx[i] * dx[i] + dy[i] * dy[i];
+Polyline Stripe::path() const {
+  std::vector<Vec2> points(anchor_count());
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i] = {anchor_xs()[i], anchor_ys()[i]};
   }
-  double* px = len2 + soa_segs_;
-  double* py = px + n;
-  for (size_t i = 0; i < n; ++i) {
-    px[i] = pts[i].x;
-    py[i] = pts[i].y;
-  }
+  return Polyline(std::move(points));
 }
 
 bool Stripe::Contains(const Vec2& p) const {
   // AABB early-reject: every path point is inside reject_box_ deflated by
   // radius_ + 1e-6, so any p outside the box is strictly farther than the
   // containment threshold from every segment.
-  if (!has_reject_box_ || !reject_box_.Contains(p)) {
+  if (!has_bounds() || !reject_box_.Contains(p)) {
     return false;
   }
   return std::sqrt(simd::PolylineSquaredDistanceToPoint(segments_soa(), p.x,
@@ -78,14 +58,14 @@ double Stripe::DistanceToStripe(const Stripe& other) const {
   // branches exactly as the scalar code does — the degenerate-segment SoA
   // encoding is only bit-safe for point kernels).
   double d;
-  if (path_.empty() || other.path_.empty()) {
+  if (anchor_count() == 0 || other.anchor_count() == 0) {
     d = std::numeric_limits<double>::infinity();
-  } else if (path_.size() == 1) {
+  } else if (anchor_count() == 1) {
     d = std::sqrt(simd::PolylineSquaredDistanceToPoint(
-        other.segments_soa(), path_.points()[0].x, path_.points()[0].y));
-  } else if (other.path_.size() == 1) {
+        other.segments_soa(), anchor_xs()[0], anchor_ys()[0]));
+  } else if (other.anchor_count() == 1) {
     d = std::sqrt(simd::PolylineSquaredDistanceToPoint(
-        segments_soa(), other.path_.points()[0].x, other.path_.points()[0].y));
+        segments_soa(), other.anchor_xs()[0], other.anchor_ys()[0]));
   } else {
     const simd::SegmentSoA mine = segments_soa();
     const simd::SegmentSoA theirs = other.segments_soa();
@@ -141,10 +121,12 @@ double Stripe::DistanceToCircle(const Circle& c) const {
 
 double Stripe::CapsuleAreaUpperBound() const {
   const double pi = 3.14159265358979323846;
-  if (path_.empty()) return 0.0;
+  if (anchor_count() == 0) return 0.0;
   double area = pi * radius_ * radius_;  // End caps, counted once total.
-  for (size_t i = 0; i < path_.segment_count(); ++i) {
-    area += 2.0 * radius_ * path_.segment(i).Length();
+  const double* xs = anchor_xs();
+  const double* ys = anchor_ys();
+  for (size_t i = 0; i + 1 < anchor_count(); ++i) {
+    area += 2.0 * radius_ * Distance({xs[i], ys[i]}, {xs[i + 1], ys[i + 1]});
   }
   return area;
 }

@@ -1,6 +1,7 @@
 #ifndef PROXDET_GEOM_STRIPE_H_
 #define PROXDET_GEOM_STRIPE_H_
 
+#include <span>
 #include <vector>
 
 #include "geom/bbox.h"
@@ -18,36 +19,40 @@ namespace proxdet {
 class Stripe {
  public:
   Stripe() = default;
-  Stripe(Polyline path, double radius);
+  /// The stripe of `radius` around the polyline through `anchors`.
+  Stripe(std::span<const Vec2> anchors, double radius);
+  Stripe(const Polyline& path, double radius)
+      : Stripe(std::span<const Vec2>(path.points()), radius) {}
 
-  const Polyline& path() const { return path_; }
+  /// The anchor polyline, rebuilt from the anchor arrays (an allocation per
+  /// call: hot paths read anchor_xs()/anchor_ys() instead).
+  Polyline path() const;
   double radius() const { return radius_; }
 
   /// Cached axis-aligned bounds: the path box inflated by radius_ plus the
   /// reject margin. Contains the whole stripe, so box distances derived
   /// from it are sound lower bounds. Only meaningful when has_bounds().
   const BBox& bounds() const { return reject_box_; }
-  bool has_bounds() const { return has_reject_box_; }
+  bool has_bounds() const { return !anchors_.empty(); }
 
-  /// SoA view of the path's segments, precomputed at construction (the
-  /// batched kernels read these instead of re-deriving b - a per query).
-  /// A single-point path is cached as one degenerate segment, which the
-  /// point-distance kernels resolve bitwise like the scalar special case;
-  /// callers doing segment-segment work must branch on path().size() == 1
-  /// exactly like Polyline::DistanceToPolyline does.
+  /// The path's anchors as coordinate arrays (the only copy of them).
+  size_t anchor_count() const { return anchors_.size() / 2; }
+  const double* anchor_xs() const { return anchors_.data(); }
+  const double* anchor_ys() const { return anchors_.data() + anchor_count(); }
+
+  /// SoA view of the path's segments over the anchor arrays: segment i runs
+  /// from anchor i to anchor i + 1 (b = a + 1). A single-point path is one
+  /// degenerate segment (b = a), which the point-distance kernels resolve
+  /// bitwise like the scalar special case; callers doing segment-segment
+  /// work must branch on anchor_count() == 1 exactly like
+  /// Polyline::DistanceToPolyline does.
   simd::SegmentSoA segments_soa() const {
-    const double* b = soa_.data();
-    const size_t s = soa_segs_;
-    return simd::SegmentSoA{b,         b + s,     b + 2 * s, b + 3 * s,
-                            b + 4 * s, b + 5 * s, b + 6 * s, s};
+    const size_t n = anchor_count();
+    const double* xs = anchor_xs();
+    const double* ys = anchor_ys();
+    if (n <= 1) return simd::SegmentSoA{xs, ys, xs, ys, n};
+    return simd::SegmentSoA{xs, ys, xs + 1, ys + 1, n - 1};
   }
-  /// The path's anchor points split into coordinate arrays (for batched
-  /// Eq. (8) scans). anchor_count() == path().size().
-  const double* anchor_xs() const { return soa_.data() + 7 * soa_segs_; }
-  const double* anchor_ys() const {
-    return soa_.data() + 7 * soa_segs_ + path_.size();
-  }
-  size_t anchor_count() const { return path_.size(); }
 
   /// Closed containment: boundary points are inside the safe region.
   bool Contains(const Vec2& p) const;
@@ -74,26 +79,21 @@ class Stripe {
   /// this is the simple per-capsule sum used only for diagnostics.
   double CapsuleAreaUpperBound() const;
 
-  /// Exact (bitwise) structural equality on path and radius (the reject box
-  /// and SoA cache are derived from them); the wire codec's round-trip
-  /// guarantee is stated in terms of it.
+  /// Exact (bitwise) structural equality on anchors and radius (the reject
+  /// box is derived from them); the wire codec's round-trip guarantee is
+  /// stated in terms of it.
   friend bool operator==(const Stripe& a, const Stripe& b) {
-    return a.radius_ == b.radius_ && a.path_ == b.path_;
+    return a.radius_ == b.radius_ && a.anchors_ == b.anchors_;
   }
 
  private:
-  Polyline path_;
+  // Anchor coordinates: xs[0..n) then ys[0..n), one allocation.
+  std::vector<double> anchors_;
   double radius_ = 0.0;
   // Bounding box of the path inflated by radius_ plus a margin that safely
   // dominates the containment tolerance; Contains() rejects points outside
   // it without scanning a single segment. Invalid when the path is empty.
   BBox reject_box_;
-  bool has_reject_box_ = false;
-  // Segment SoA ([ax][ay][bx][by][dx][dy][len2], soa_segs_ each) followed by
-  // the anchor coordinate arrays ([px][py], path size each). One flat
-  // buffer, filled once in the constructor.
-  std::vector<double> soa_;
-  size_t soa_segs_ = 0;
 };
 
 }  // namespace proxdet

@@ -361,15 +361,16 @@ struct ShapeEncoder {
   void operator()(const Stripe& s) const {
     // Only the path is quantized; the radius is a solver output off any
     // grid, and at 8 bytes per install it is not worth approximating.
-    if (allow_quantized && PointsQuantizable(s.path().points())) {
+    const Polyline path = s.path();
+    if (allow_quantized && PointsQuantizable(path.points())) {
       w->PutU8(kTagStripeQ);
       w->PutDouble(s.radius());
-      w->PutPointsQuantized(s.path().points());
+      w->PutPointsQuantized(path.points());
       return;
     }
     w->PutU8(kTagStripe);
     w->PutDouble(s.radius());
-    w->PutPoints(s.path().points());
+    w->PutPoints(path.points());
   }
 };
 
@@ -412,7 +413,7 @@ bool GetShape(WireReader* r, SafeRegionShape* out) {
       const double radius = r->GetDouble();
       std::vector<Vec2> points;
       if (!r->GetPoints(&points)) return false;
-      *out = Stripe(Polyline(std::move(points)), radius);
+      *out = Stripe(points, radius);
       break;
     }
     case kTagPolygonQ: {
@@ -425,7 +426,7 @@ bool GetShape(WireReader* r, SafeRegionShape* out) {
       const double radius = r->GetDouble();
       std::vector<Vec2> points;
       if (!r->GetPointsQuantized(&points)) return false;
-      *out = Stripe(Polyline(std::move(points)), radius);
+      *out = Stripe(points, radius);
       break;
     }
     default:

@@ -6,12 +6,13 @@
 // sizes straddling the vector widths (0, 1, W-1, W, W+1).
 //
 // ctest label: simd. scripts/check.sh runs this suite in the regular tree,
-// the -DPROXDET_SIMD=OFF tree (where only the scalar backend exists and
-// the whole suite collapses to scalar-vs-scalar identity) and the UBSan
-// tree (the branchless lane arithmetic must not hide UB behind masks).
+// with PROXDET_SIMD_FORCE=scalar (dispatch pinned to the scalar reference)
+// and in the UBSan tree (the branchless lane arithmetic must not hide UB
+// behind masks).
 
 #include "geom/simd/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -65,7 +66,7 @@ void ForEachBackend(Fn fn) {
 /// Owning SoA segment batch; every 4th segment degenerate (a == b) so the
 /// zero-length guard is exercised mid-batch in every chunk.
 struct SegBatch {
-  std::vector<double> ax, ay, bx, by, dx, dy, len2;
+  std::vector<double> ax, ay, bx, by;
 
   explicit SegBatch(Rng* rng, size_t n, bool with_degenerate = true) {
     for (size_t i = 0; i < n; ++i) {
@@ -81,15 +82,12 @@ struct SegBatch {
       ay.push_back(y0);
       bx.push_back(x1);
       by.push_back(y1);
-      dx.push_back(x1 - x0);
-      dy.push_back(y1 - y0);
-      len2.push_back(dx.back() * dx.back() + dy.back() * dy.back());
     }
   }
 
   simd::SegmentSoA View() const {
     return simd::SegmentSoA{ax.data(), ay.data(), bx.data(), by.data(),
-                            dx.data(), dy.data(), len2.data(), ax.size()};
+                            ax.size()};
   }
 };
 
@@ -105,10 +103,6 @@ struct PointBatch {
 };
 
 TEST(SimdDispatchTest, ActiveBackendConsistent) {
-  const simd::Backend b = simd::ActiveBackend();
-  if (b != simd::Backend::kScalar) {
-    EXPECT_TRUE(simd::CompiledWithSimd());
-  }
   // A rejected self-check forces scalar; with the check green, a compiled
   // vector backend on a supporting CPU must not silently run scalar.
   EXPECT_TRUE(simd::SelfCheckPassed());
@@ -149,16 +143,18 @@ TEST(SimdKernelTest, SegmentSquaredDistanceToPointsBitwise) {
     for (const size_t n : kBatchSizes) {
       // One regular and one degenerate segment against every batch.
       SegBatch segs(&rng, 2);
-      segs.dx[1] = segs.dy[1] = segs.len2[1] = 0.0;
+      segs.bx[1] = segs.ax[1];
+      segs.by[1] = segs.ay[1];
       for (size_t s = 0; s < 2; ++s) {
         PointBatch p(&rng, n);
         std::vector<double> got(n, -1), want(n, -2);
-        simd::SegmentSquaredDistanceToPoints(
-            segs.ax[s], segs.ay[s], segs.dx[s], segs.dy[s], segs.len2[s],
-            p.x.data(), p.y.data(), n, got.data());
+        simd::SegmentSquaredDistanceToPoints(segs.ax[s], segs.ay[s],
+                                             segs.bx[s], segs.by[s],
+                                             p.x.data(), p.y.data(), n,
+                                             got.data());
         simd::scalar::SegmentSquaredDistanceToPoints(
-            segs.ax[s], segs.ay[s], segs.dx[s], segs.dy[s], segs.len2[s],
-            p.x.data(), p.y.data(), n, want.data());
+            segs.ax[s], segs.ay[s], segs.bx[s], segs.by[s], p.x.data(),
+            p.y.data(), n, want.data());
         for (size_t i = 0; i < n; ++i) {
           EXPECT_BITEQ(got[i], want[i]) << "n=" << n << " seg=" << s
                                         << " lane=" << i;
@@ -243,8 +239,8 @@ TEST(SimdKernelTest, SegmentsSquaredDistanceToPointBitwise) {
       for (size_t i = 0; i < n; ++i) {
         double lane;
         simd::scalar::SegmentSquaredDistanceToPoints(
-            segs.ax[i], segs.ay[i], segs.dx[i], segs.dy[i], segs.len2[i],
-            &px, &py, 1, &lane);
+            segs.ax[i], segs.ay[i], segs.bx[i], segs.by[i], &px, &py, 1,
+            &lane);
         EXPECT_BITEQ(got[i], lane) << "lane=" << i;
       }
       // ...and the full-batch min is the reduced call, bit for bit.
@@ -317,11 +313,9 @@ TEST(SimdKernelTest, StoreVariantRangedMinMatchesSubBatchReduction) {
                                             ss.data());
     for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
       const size_t begin = cuts[c], end = cuts[c + 1];
-      const simd::SegmentSoA sub{
-          all.ax.data() + begin,   all.ay.data() + begin,
-          all.bx.data() + begin,   all.by.data() + begin,
-          all.dx.data() + begin,   all.dy.data() + begin,
-          all.len2.data() + begin, end - begin};
+      const simd::SegmentSoA sub{all.ax.data() + begin, all.ay.data() + begin,
+                                 all.bx.data() + begin, all.by.data() + begin,
+                                 end - begin};
       double best_pt = std::numeric_limits<double>::infinity();
       double best_ss = std::numeric_limits<double>::infinity();
       for (size_t j = begin; j < end; ++j) {
@@ -501,8 +495,8 @@ TEST(SimdStripeTest, SinglePointAndEmptyPaths) {
   const Stripe empty_stripe{};
   const Stripe regular(RandomPath(&rng, 5), 3.0);
   ForEachBackend([&] {
-    // Single-point path: one degenerate cached segment, distances match
-    // the point convention.
+    // Single-point path: one degenerate segment (b aliases a), distances
+    // match the point convention.
     EXPECT_BITEQ(point_stripe.DistanceToPoint({3.0, 10.0}), 4.0);
     EXPECT_TRUE(point_stripe.Contains({3.0, 6.0}));
     EXPECT_FALSE(point_stripe.Contains({3.0, 6.1}));
@@ -514,6 +508,159 @@ TEST(SimdStripeTest, SinglePointAndEmptyPaths) {
     const double d = point_stripe.DistanceToStripe(regular);
     EXPECT_GE(d, 0.0);
     EXPECT_TRUE(std::isfinite(d));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Anchor-buffer views: a stripe's SegmentSoA points b at a + 1 inside its one
+// anchor buffer; the kernels must read it exactly like separate arrays.
+// ---------------------------------------------------------------------------
+
+/// Random anchors as one xs-then-ys buffer, like Stripe's.
+std::vector<double> RandomAnchors(Rng* rng, size_t n) {
+  std::vector<double> xy(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    xy[i] = rng->Uniform(-300, 300);
+    xy[n + i] = rng->Uniform(-300, 300);
+  }
+  if (n > 3) {  // A repeated anchor: one zero-length segment mid-path.
+    xy[2] = xy[1];
+    xy[n + 2] = xy[n + 1];
+  }
+  return xy;
+}
+
+TEST(SimdLayoutTest, AliasedAnchorViewMatchesExplicitArrays) {
+  Rng rng(113);
+  ForEachBackend([&] {
+    for (const size_t anchors : {size_t{2}, size_t{3}, size_t{5}, size_t{9},
+                                 size_t{10}, size_t{17}, size_t{38}}) {
+      const std::vector<double> xy = RandomAnchors(&rng, anchors);
+      const double* xs = xy.data();
+      const double* ys = xy.data() + anchors;
+      const size_t n = anchors - 1;
+      const simd::SegmentSoA aliased{xs, ys, xs + 1, ys + 1, n};
+      const std::vector<double> ax(xs, xs + n), ay(ys, ys + n);
+      const std::vector<double> bx(xs + 1, xs + anchors);
+      const std::vector<double> by(ys + 1, ys + anchors);
+      const simd::SegmentSoA copied{ax.data(), ay.data(), bx.data(),
+                                    by.data(), n};
+      const PointBatch p(&rng, 13);
+      std::vector<double> got(p.x.size()), want(p.x.size());
+      simd::PolylineSquaredDistanceToPoints(aliased, p.x.data(), p.y.data(),
+                                            p.x.size(), got.data());
+      simd::scalar::PolylineSquaredDistanceToPoints(
+          copied, p.x.data(), p.y.data(), p.x.size(), want.data());
+      std::vector<Vec2> pts;
+      for (size_t i = 0; i < anchors; ++i) pts.push_back({xs[i], ys[i]});
+      const Polyline path(pts);
+      for (size_t i = 0; i < p.x.size(); ++i) {
+        EXPECT_BITEQ(got[i], want[i]) << "anchors=" << anchors;
+        // The in-kernel segment terms are the library's own.
+        EXPECT_BITEQ(got[i], path.SquaredDistanceToPoint({p.x[i], p.y[i]}));
+        EXPECT_BITEQ(simd::PolylineSquaredDistanceToPoint(aliased, p.x[i],
+                                                          p.y[i]),
+                     want[i]);
+      }
+      std::vector<double> lanes_a(n), lanes_c(n);
+      simd::SegmentsSquaredDistanceToPoint(aliased, p.x[0], p.y[0],
+                                           lanes_a.data());
+      simd::scalar::SegmentsSquaredDistanceToPoint(copied, p.x[0], p.y[0],
+                                                   lanes_c.data());
+      for (size_t j = 0; j < n; ++j) EXPECT_BITEQ(lanes_a[j], lanes_c[j]);
+      const double qax = p.x[1], qay = p.y[1], qbx = p.x[2], qby = p.y[2];
+      simd::SegmentToSegmentsSquaredDistances(qax, qay, qbx, qby, aliased,
+                                              lanes_a.data());
+      simd::scalar::SegmentToSegmentsSquaredDistances(qax, qay, qbx, qby,
+                                                      copied, lanes_c.data());
+      for (size_t j = 0; j < n; ++j) EXPECT_BITEQ(lanes_a[j], lanes_c[j]);
+      EXPECT_BITEQ(
+          simd::SegmentToPolylineSquaredDistance(qax, qay, qbx, qby, aliased),
+          simd::scalar::SegmentToPolylineSquaredDistance(qax, qay, qbx, qby,
+                                                         copied));
+    }
+  });
+}
+
+TEST(SimdLayoutTest, ZeroOneAndTwoAnchorStripes) {
+  const Stripe none;
+  const Stripe one(Polyline({{3.0, 4.0}}), 2.0);
+  const Stripe two(Polyline({{0.0, 0.0}, {10.0, 0.0}}), 1.0);
+  // The views: no segment; one degenerate segment with b aliasing a; one
+  // segment with b at a + 1.
+  EXPECT_EQ(none.segments_soa().n, 0u);
+  EXPECT_EQ(one.segments_soa().n, 1u);
+  EXPECT_EQ(one.segments_soa().bx, one.anchor_xs());
+  EXPECT_EQ(one.segments_soa().by, one.anchor_ys());
+  EXPECT_EQ(two.segments_soa().n, 1u);
+  EXPECT_EQ(two.segments_soa().bx, two.anchor_xs() + 1);
+  EXPECT_EQ(two.segments_soa().by, two.anchor_ys() + 1);
+  const Vec2 probe{4.0, 7.0};
+  ForEachBackend([&] {
+    EXPECT_EQ(none.DistanceToPoint(probe),
+              std::numeric_limits<double>::infinity());
+    EXPECT_FALSE(none.Contains(probe));
+    // Library references: the polyline distances minus the radius.
+    EXPECT_BITEQ(one.DistanceToPoint(probe),
+                 std::max(0.0, one.path().DistanceToPoint(probe) - 2.0));
+    EXPECT_BITEQ(two.DistanceToPoint(probe),
+                 std::max(0.0, two.path().DistanceToPoint(probe) - 1.0));
+    EXPECT_BITEQ(one.DistanceToStripe(two),
+                 std::max(0.0, one.path().DistanceToPolyline(two.path()) -
+                                   2.0 - 1.0));
+    EXPECT_BITEQ(two.DistanceToStripe(one), one.DistanceToStripe(two));
+    EXPECT_EQ(two.DistanceToStripe(none),
+              std::numeric_limits<double>::infinity());
+  });
+}
+
+TEST(SimdLayoutTest, ConcatenatedFriendStagingMatchesPerStripeCalls) {
+  // The stripe builder stages every friend stripe's aliased view into four
+  // concatenated arrays; ranged minima over one store-kernel call must equal
+  // the reduced kernels on each stripe's own view.
+  Rng rng(114);
+  std::vector<Stripe> friends;
+  for (const size_t anchors : {2, 5, 3, 9, 2, 14}) {
+    friends.emplace_back(RandomPath(&rng, anchors), rng.Uniform(1, 30));
+  }
+  std::vector<double> sax, say, sbx, sby;
+  std::vector<size_t> begin;
+  for (const Stripe& s : friends) {
+    const simd::SegmentSoA v = s.segments_soa();
+    begin.push_back(sax.size());
+    sax.insert(sax.end(), v.ax, v.ax + v.n);
+    say.insert(say.end(), v.ay, v.ay + v.n);
+    sbx.insert(sbx.end(), v.bx, v.bx + v.n);
+    sby.insert(sby.end(), v.by, v.by + v.n);
+  }
+  begin.push_back(sax.size());
+  const simd::SegmentSoA staged{sax.data(), say.data(), sbx.data(),
+                                sby.data(), sax.size()};
+  ForEachBackend([&] {
+    for (int q = 0; q < 6; ++q) {
+      const double px = rng.Uniform(-250, 250), py = rng.Uniform(-250, 250);
+      const double qx = rng.Uniform(-250, 250), qy = rng.Uniform(-250, 250);
+      std::vector<double> pt(staged.n), ss(staged.n);
+      simd::SegmentsSquaredDistanceToPoint(staged, px, py, pt.data());
+      simd::SegmentToSegmentsSquaredDistances(px, py, qx, qy, staged,
+                                              ss.data());
+      for (size_t f = 0; f < friends.size(); ++f) {
+        double best_pt = std::numeric_limits<double>::infinity();
+        double best_ss = std::numeric_limits<double>::infinity();
+        for (size_t j = begin[f]; j < begin[f + 1]; ++j) {
+          best_pt = pt[j] < best_pt ? pt[j] : best_pt;
+          best_ss = ss[j] < best_ss ? ss[j] : best_ss;
+        }
+        const simd::SegmentSoA own = friends[f].segments_soa();
+        EXPECT_BITEQ(best_pt, simd::PolylineSquaredDistanceToPoint(own, px, py))
+            << "friend " << f;
+        EXPECT_BITEQ(best_ss, simd::SegmentToPolylineSquaredDistance(
+                                  px, py, qx, qy, own))
+            << "friend " << f;
+        EXPECT_BITEQ(best_pt,
+                     friends[f].path().SquaredDistanceToPoint({px, py}));
+      }
+    }
   });
 }
 

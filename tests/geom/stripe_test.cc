@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -100,6 +102,36 @@ TEST(StripeTest, CapsuleAreaUpperBound) {
 // Property: the AABB early-reject in Contains never changes the answer.
 // Points are drawn from a range much wider than the stripe so most fall
 // outside the reject box, and every verdict must still match Def. 4.
+TEST(StripeTest, AnchorsRoundTripToThePath) {
+  // One anchor buffer, xs then ys: anchor_xs()/anchor_ys() and path()
+  // reproduce the input polyline exactly, for every path length.
+  Rng rng(17);
+  for (const size_t n : {0, 1, 2, 3, 15}) {
+    std::vector<Vec2> pts;
+    for (size_t i = 0; i < n; ++i) {
+      pts.push_back({rng.Uniform(-1e4, 1e4), rng.Uniform(-1e4, 1e4)});
+    }
+    if (n == 3) pts[1] = {-0.0, 0.1};  // Signed zero survives.
+    const Stripe s(Polyline(pts), 12.5);
+    ASSERT_EQ(s.anchor_count(), n);
+    EXPECT_EQ(s.has_bounds(), n > 0);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(s.anchor_xs()[i], pts[i].x);
+      EXPECT_EQ(s.anchor_ys()[i], pts[i].y);
+      EXPECT_EQ(std::signbit(s.anchor_xs()[i]), std::signbit(pts[i].x));
+    }
+    EXPECT_TRUE(s.path() == Polyline(pts)) << "n=" << n;
+    EXPECT_TRUE(Stripe(s.path(), s.radius()) == s);
+    EXPECT_TRUE(Stripe(std::span<const Vec2>(pts), 12.5) == s);
+    EXPECT_FALSE(Stripe(Polyline(pts), 12.0) == s);
+    if (n > 0) {
+      std::vector<Vec2> moved = pts;
+      moved.back().y += 1.0;
+      EXPECT_FALSE(Stripe(Polyline(moved), 12.5) == s);
+    }
+  }
+}
+
 TEST(StripeTest, PropertyContainsMatchesDefinitionFarField) {
   Rng rng(47);
   for (int trial = 0; trial < 20; ++trial) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -531,6 +532,35 @@ TEST(WireTest, EncodeCompressedShrinksOnGridStripesAndDecodesEqual) {
   // The exact coding still decodes too (old frames stay readable).
   ASSERT_TRUE(Decode(exact, &back));
   EXPECT_TRUE(back == msg);
+}
+
+TEST(WireTest, StripeTagsRoundTripEveryAnchorCount) {
+  // Both stripe codings (exact kTagStripe, quantized kTagStripeQ) rebuild a
+  // stripe equal to the sent one, anchors bit for bit, from 0 anchors up.
+  for (const size_t n : {0, 1, 2, 24}) {
+    RegionInstallMsg msg;
+    msg.user = 7;
+    msg.epoch = 3;
+    const Stripe sent(Polyline(OnGridPath(n)), 125.5);
+    msg.region = sent;
+    for (const bool compressed : {false, true}) {
+      const std::vector<uint8_t> bytes =
+          compressed ? EncodeCompressed(msg) : Encode(msg);
+      RegionInstallMsg back;
+      ASSERT_TRUE(Decode(bytes, &back)) << "n=" << n;
+      ASSERT_TRUE(back == msg) << "n=" << n << " compressed=" << compressed;
+      const Stripe& got = std::get<Stripe>(back.region);
+      ASSERT_EQ(got.anchor_count(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::memcmp(&got.anchor_xs()[i], &sent.anchor_xs()[i],
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(&got.anchor_ys()[i], &sent.anchor_ys()[i],
+                              sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 TEST(WireTest, EncodeCompressedFallsBackOffGrid) {
