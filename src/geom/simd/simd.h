@@ -23,10 +23,11 @@ namespace simd {
 ///
 /// Backends: a scalar reference (always compiled; also the tail loop of
 /// every vector kernel), a 4-wide AVX2 unit and an 8-wide AVX-512F unit
-/// (compiled when the compiler supports the flags). Dispatch picks the widest backend the running CPU supports —
-/// but only after a one-time bitwise self-check against the scalar
-/// reference on deterministic pseudo-random batches; a backend that fails
-/// verification is never used (the "runtime-verified scalar fallback").
+/// (compiled when the compiler supports the flags). Dispatch picks the
+/// widest backend the running CPU supports — but only after a one-time
+/// bitwise self-check against the scalar reference on deterministic
+/// pseudo-random batches; a backend that fails verification is never used
+/// (the "runtime-verified scalar fallback").
 /// Vector translation units are built with -ffp-contract=off so no FMA
 /// contraction can perturb the scalar-identical operation sequence.
 
